@@ -7,9 +7,12 @@
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 out="$root/.bench_build"
-mkdir -p "$out/gocache" "$out/gotmp" "$out/perfbench"
+mkdir -p "$out/gocache" "$out/gotmp" "$out/config" "$out/perfbench"
+# The go command's caches, temporary files and telemetry counters
+# (under the user config directory) all go under .bench_build too.
 export GOCACHE="$out/gocache" GOTMPDIR="$out/gotmp" TMPDIR="$out/gotmp"
-export GOMODCACHE="$out/gomodcache" GOTOOLCHAIN=local GOPROXY=off GOFLAGS=
+export GOPATH="$out/gopath" GOMODCACHE="$out/gomodcache" XDG_CONFIG_HOME="$out/config"
+export GOTOOLCHAIN=local GOPROXY=off GOFLAGS=
 (cd "$root/perfbench" && go build -o "$out/perfbench/perfbench" .)
 cd "$root"
 exec "$out/perfbench/perfbench" "$@"
