@@ -3,7 +3,7 @@
 # build and the run write stays under .bench_build/ at the repository
 # root. Usage, from the repository root:
 #
-#   bash perfbench/run.sh --workload rw-mixed --seed 1 --seconds 15 --trace 0
+#   bash perfbench/run.sh --workload rw-mixed --seed 1 --seconds 20 --trace 0
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 out="$root/.bench_build"
