@@ -2,10 +2,6 @@ package main
 
 import (
 	"context"
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/vossketch/vos"
@@ -16,52 +12,58 @@ import (
 // Times are offsets from the start of its phase.
 type sample struct {
 	kind opKind
-	// dirty marks a read issued with at least one acknowledged write
-	// since the previous read was issued.
+	// dirty marks a read with at least one acknowledged write since the
+	// previous read.
 	dirty  bool
 	traced bool
 	ok     bool
 	tail   bool // sent in the tail phase
-	// calm marks a request due in a window the end-to-end metrics use.
-	calm  bool
-	due   time.Duration // when the request was due (open loop) or sent
-	start time.Duration
-	end   time.Duration
-	batch int // write batch index (into inputs.batches, or inputs.cycle)
-	edges int // edges a write carried
+	start  time.Duration
+	end    time.Duration
+	edges  int // edges a write carried
+	// cpu is the process CPU time the request took: the client, the
+	// server and every layer below run in this process, and one request
+	// is in flight at a time, so it is the request's whole cost,
+	// including background work (shard apply, GC) that ran meanwhile.
+	cpu time.Duration
 }
 
-// latency is the request's latency. In an open loop it is timed from
-// the due time, so a stall also charges the requests queued behind it; a
-// request sent early (see pace) is timed from when it was sent.
-func (s sample) latency() time.Duration { return s.end - min(s.start, s.due) }
+func (s sample) latency() time.Duration { return s.end - s.start }
 
-// pace waits until about due. The runtime's poller sleeps in whole
-// milliseconds and rounds a remainder below one millisecond up to a full
-// one, so pace sleeps only the whole milliseconds of the wait and sends
-// up to a millisecond early rather than up to a millisecond late: the
-// generator's own timer then never shows up as server latency.
-func pace(due time.Time) {
-	if wait := time.Until(due).Truncate(time.Millisecond); wait > 0 {
-		time.Sleep(wait)
+// stream is one write stream: an S, S⁻¹ cycle of batches sent in order,
+// over and over. sent counts the acknowledged batches.
+type stream struct {
+	batches [][]vos.Edge
+	sent    int
+}
+
+func (s *stream) next() []vos.Edge { return s.batches[s.sent%len(s.batches)] }
+
+// residual is what the acknowledged batches left: every whole S, S⁻¹
+// cycle cancels, so only the part of the last one counts.
+func (s *stream) residual() []vos.Edge {
+	var out []vos.Edge
+	for _, b := range s.batches[:s.sent%max(1, len(s.batches))] {
+		out = append(out, b...)
 	}
+	return out
 }
 
 // driver issues a workload's requests over loopback HTTP with
-// client.Client, from at most two goroutines.
+// client.Client, from one goroutine: a closed loop with one request in
+// flight.
 type driver struct {
 	pr  params
 	in  *inputs
 	t   *tracer // nil in an untraced run
 	cli *client.Client
-	// wcli ships the open-loop write batches and bcli the bulk batches:
-	// each client's batch size equals its write size, so every Ingest is
-	// one synchronous request and nothing is left buffered.
-	wcli, bcli *client.Client
-
-	acked    atomic.Int64 // acknowledged write batches
-	readMu   sync.Mutex
-	lastRead int64 // acked at the previous read
+	// wcli ships the small write batches and bcli the bulk batches: each
+	// client's batch size equals its write size, so every Ingest is one
+	// synchronous request and nothing is left buffered.
+	wcli, bcli     *client.Client
+	writes, bulk   stream
+	wroteSinceRead bool
+	sentEdges      int // edges of every acknowledged write
 }
 
 // clientOptions configures a client for the load generator: no linger
@@ -74,9 +76,11 @@ func clientOptions(t *tracer, batch int) client.Options {
 func newDriver(pr params, in *inputs, t *tracer, url string) *driver {
 	return &driver{
 		pr: pr, in: in, t: t,
-		cli:  client.New(url, clientOptions(t, pr.writeBatch)),
-		wcli: client.New(url, clientOptions(t, pr.writeBatch)),
-		bcli: client.New(url, clientOptions(t, pr.bulkBatch)),
+		cli:    client.New(url, clientOptions(t, pr.writeBatch)),
+		wcli:   client.New(url, clientOptions(t, pr.writeBatch)),
+		bcli:   client.New(url, clientOptions(t, pr.bulkBatch)),
+		writes: stream{batches: in.writes},
+		bulk:   stream{batches: in.bulk},
 	}
 }
 
@@ -87,53 +91,51 @@ func (d *driver) close() {
 	_ = d.bcli.Close()
 }
 
-// readDirty classifies a read at issue time.
-func (d *driver) readDirty() bool {
-	d.readMu.Lock()
-	defer d.readMu.Unlock()
-	a := d.acked.Load()
-	dirty := a > d.lastRead
-	d.lastRead = a
-	return dirty
+// write sends the next batch of a write stream.
+func (d *driver) write(ctx context.Context, bulk bool) (edges int, err error) {
+	w, s := d.wcli, &d.writes
+	if bulk {
+		w, s = d.bcli, &d.bulk
+	}
+	b := s.next()
+	if err = w.Ingest(ctx, b); err == nil {
+		err = w.Flush(ctx)
+	}
+	if err == nil {
+		s.sent++
+		d.sentEdges += len(b)
+		d.wroteSinceRead = true
+	}
+	return len(b), err
 }
 
-// exec runs one request; edges is a write's batch. A traced request
-// opens the root span of its operation; every layer below links its
-// spans to it.
-func (d *driver) exec(o op, edges []vos.Edge, traced bool) (dirty, ok bool) {
+// exec runs one request. A traced request opens the root span of its
+// operation; every layer below links its spans to it.
+func (d *driver) exec(o op, s *sample) error {
 	ctx := context.Background()
 	var root *span
-	if traced {
+	if s.traced {
 		ctx, root = d.t.root(ctx, "client."+o.kind.String())
 	}
 	var err error
 	switch o.kind {
 	case opWrite:
-		w := d.wcli
-		if o.bulk {
-			w = d.bcli
-		}
-		if err = w.Ingest(ctx, edges); err == nil {
-			err = w.Flush(ctx)
-		}
-		if err == nil {
-			d.acked.Add(1)
-		}
+		s.edges, err = d.write(ctx, o.bulk)
 	case opPair:
-		dirty = d.readDirty()
+		s.dirty, d.wroteSinceRead = d.wroteSinceRead, false
 		_, err = d.cli.Similarity(ctx, o.u, o.v)
 	case opTopK:
-		dirty = d.readDirty()
+		s.dirty, d.wroteSinceRead = d.wroteSinceRead, false
 		_, err = d.cli.TopK(ctx, o.u, d.in.candidates, d.pr.topN)
 	}
-	if traced {
-		root.Dirty = dirty
+	if s.traced {
+		root.Dirty = s.dirty
 		d.t.end(root)
 	}
-	return dirty, err == nil
+	return err
 }
 
-// tracedAt reports whether a request due at offset at falls in a traced
+// tracedAt reports whether a request sent at offset at falls in a traced
 // segment: the measured part of a traced run alternates untraced and
 // traced segments, so the tracing overhead is the difference between the
 // two halves.
@@ -141,67 +143,48 @@ func (d *driver) tracedAt(at time.Duration) bool {
 	return d.t != nil && at >= d.pr.warm && ((at-d.pr.warm)/d.pr.segment)%2 == 1
 }
 
-// workers is the load generator's goroutine count: at most nproc, and
-// at most two, so runs on bigger machines offer the same load.
-func workers() int { return min(2, runtime.NumCPU()) }
-
-// openLoop issues a phase's plan at its fixed rate from start. Each
-// request is due at its slot time whatever happened to earlier ones; a
-// worker that falls behind sends late, and the lateness is kept. Only
-// the main phase is ever traced.
-func (d *driver) openLoop(ph phase, start time.Time, tail bool) []sample {
-	interval := time.Duration(float64(time.Second) / ph.rate)
-	out := make([]sample, len(ph.ops))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(ph.ops) {
-					return
-				}
-				o := ph.ops[i]
-				due := time.Duration(i) * interval
-				pace(start.Add(due))
-				s := sample{kind: o.kind, due: due, batch: o.batch, tail: tail, traced: !tail && d.tracedAt(due)}
-				var edges []vos.Edge
-				if o.kind == opWrite {
-					edges = d.in.batches[o.batch]
-					s.edges = len(edges)
-				}
-				s.start = time.Since(start)
-				s.dirty, s.ok = d.exec(o, edges, s.traced)
-				s.end = time.Since(start)
-				out[i] = s
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-// closedLoop sends the bulk cycle's batches back to back from one
-// client, cycling through them, until stopAt. It stops at the first
-// failure: the batches after it would no longer form the S, S⁻¹ cycle.
-func (d *driver) closedLoop(start time.Time, stopAt time.Duration) []sample {
+// loop sends a phase's plan from start, each request as soon as the
+// previous one is answered, starting the plan again when it runs out,
+// until the phase's duration has passed. It stops at a failed write: the
+// batches after it would no longer form an S, S⁻¹ cycle. Only the main
+// phase is ever traced.
+func (d *driver) loop(ph phase, start time.Time, tail bool) []sample {
 	var out []sample
 	for i := 0; ; i++ {
 		at := time.Since(start)
-		if at >= stopAt {
+		if at >= ph.dur {
 			return out
 		}
-		b := i % len(d.in.cycle)
-		s := sample{kind: opWrite, due: at, start: at, batch: b, edges: len(d.in.cycle[b]), traced: d.tracedAt(at)}
-		_, s.ok = d.exec(op{kind: opWrite, bulk: true}, d.in.cycle[b], s.traced)
+		o := ph.ops[i%len(ph.ops)]
+		s := sample{kind: o.kind, tail: tail, start: at, traced: !tail && d.tracedAt(at)}
+		c0 := processCPU()
+		err := d.exec(o, &s)
+		s.cpu = processCPU() - c0
 		s.end = time.Since(start)
+		s.ok = err == nil
 		out = append(out, s)
-		if !s.ok {
+		if o.kind == opWrite && !s.ok {
 			return out
 		}
 	}
+}
+
+// finishCycles sends, unmeasured, the rest of each write stream's current
+// S, S⁻¹ cycle, so every run ends in the state it started from and its
+// end-of-run gates and jaccard_mae depend on the seed alone.
+func (d *driver) finishCycles() error {
+	for _, bulk := range []bool{false, true} {
+		s := &d.writes
+		if bulk {
+			s = &d.bulk
+		}
+		for len(s.batches) > 0 && s.sent%len(s.batches) != 0 {
+			if _, err := d.write(context.Background(), bulk); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // flushingRead is a read that makes every acknowledged write visible:
@@ -211,31 +194,8 @@ func (d *driver) flushingRead() error {
 	return err
 }
 
-// ackedEdges returns the edges the run's acknowledged writes carried, in
-// stream order, for the oracle: first what the bulk cycle left (every
-// whole S, S⁻¹ cycle cancels, so only the partial last one counts), then
-// the open-loop write batches.
-func ackedEdges(in *inputs, samples []sample) []vos.Edge {
-	var bulk int
-	var batches []int
-	for _, s := range samples {
-		switch {
-		case s.kind != opWrite || !s.ok:
-		case len(in.cycle) > 0 && !s.tail:
-			// The closed loop sends the cycle in order and stops at a
-			// failure, so its acknowledged batches are a prefix.
-			bulk++
-		default:
-			batches = append(batches, s.batch)
-		}
-	}
-	var out []vos.Edge
-	for _, b := range in.cycle[:bulk%max(1, len(in.cycle))] {
-		out = append(out, b...)
-	}
-	sort.Ints(batches)
-	for _, b := range batches {
-		out = append(out, in.batches[b]...)
-	}
-	return out
+// acked returns the edges the run's acknowledged writes left, for the
+// oracle: the residual of each write stream.
+func (d *driver) acked() []vos.Edge {
+	return append(d.bulk.residual(), d.writes.residual()...)
 }

@@ -1,9 +1,11 @@
 // Command perfbench is the repository benchmark. It starts the real
 // serving stack in this process — a durable vosd node (an engine behind
 // server.New), or a vosgw gateway over K such nodes — drives it over
-// loopback HTTP with client.Client, checks every end-of-run answer
-// against an in-process oracle, and prints each metric by name with its
-// unit. The last line of standard output is one JSON object:
+// loopback HTTP with client.Client in a closed loop (one request in
+// flight), checks every end-of-run answer against an in-process oracle,
+// and prints each metric by name with its unit. Request costs and set-up
+// are timed in process CPU time (see endToEnd). The last line of standard
+// output is one JSON object:
 //
 //	{"correct": true, "attempted": N, "failed": F, "metrics": {...}}
 //
@@ -87,12 +89,10 @@ type runResult struct {
 	correct bool
 	gateErr error
 
-	setups     []float64 // seconds per stack set-up
-	measured   []sample
-	ingestRate float64
-	heapMiB    float64
-	mae        float64
-	lateP99    float64
+	setups   []float64 // CPU seconds per stack set-up
+	measured []sample
+	heapMiB  float64
+	mae      float64
 
 	// Traced runs only.
 	spans            []span
@@ -103,17 +103,6 @@ type runResult struct {
 	walBytesPerEdge  float64
 
 	metrics map[string]metric
-}
-
-// ackedCount is the number of edges the acknowledged writes carried.
-func ackedCount(samples []sample) int {
-	n := 0
-	for _, s := range samples {
-		if s.kind == opWrite && s.ok {
-			n += s.edges
-		}
-	}
-	return n
 }
 
 func (r *runResult) failed() int {
@@ -154,7 +143,8 @@ func machineInfo(o options, work string) map[string]any {
 		"shards":      o.pr.shards,
 		"memory_bits": o.pr.sketch.MemoryBits,
 		"sketch_bits": o.pr.sketch.SketchBits,
-		"workers":     workers(),
+		"load":        "closed loop, one client",
+		"timing":      "process CPU time per request and per set-up",
 	}
 }
 
@@ -198,8 +188,8 @@ func runBench(o options) (*runResult, error) {
 	}
 	clustered := o.workload == wlClusterRW
 
-	// Set up several times; setup_s is the median. Only the last stack
-	// is driven.
+	// Set up several times; setup_s is the median CPU time. Only the
+	// last stack is driven.
 	var st *stack
 	var dir string
 	for i := 0; i < pr.setups; i++ {
@@ -212,12 +202,12 @@ func runBench(o options) (*runResult, error) {
 			}
 		}
 		dir = filepath.Join(work, fmt.Sprintf("setup%d", i))
-		t0 := time.Now()
+		c0 := processCPU()
 		st, err = buildStack(pr, clustered, dir, t, in.preload)
 		if err != nil {
 			return nil, fmt.Errorf("set-up: %w", err)
 		}
-		r.setups = append(r.setups, time.Since(t0).Seconds())
+		r.setups = append(r.setups, (processCPU() - c0).Seconds())
 	}
 	defer st.close()
 
@@ -229,82 +219,43 @@ func runBench(o options) (*runResult, error) {
 		return nil, err
 	}
 	// The main phase: the workload's own traffic, after a warm-up.
-	meter := meterSteal()
-	start := time.Now()
-	var samples []sample
-	if len(in.cycle) > 0 {
-		samples = d.closedLoop(start, pr.warm+in.main.dur)
-	} else {
-		samples = d.openLoop(in.main, start, false)
-	}
-	calm := meter.finish(window(pr.warm), window(pr.warm+in.main.dur))
-	if err := d.flushingRead(); err != nil {
-		return nil, fmt.Errorf("flushing read: %w", err)
-	}
-	mainEnd := time.Since(start) - pr.warm
+	main := d.loop(in.main, time.Now(), false)
 	hits1, misses1 := st.poscache()
 	if hits1+misses1 > hits0+misses0 {
 		r.poscacheHitRatio = float64(hits1-hits0) / float64(hits1+misses1-hits0-misses0)
 	}
-	var main, tail []sample
-	for _, s := range samples {
-		if s.due >= pr.warm {
-			s.calm = calm == nil || calm[window(s.due)]
-			main = append(main, s)
+	for _, s := range main {
+		if s.start >= pr.warm {
+			r.measured = append(r.measured, s)
 		}
 	}
-	if len(in.cycle) > 0 && calm != nil {
-		// The closed loop's throughput, over its calm windows.
-		var edges int
-		for _, s := range main {
-			if s.kind == opWrite && s.ok && calm[window(s.end)] {
-				edges += s.edges
-			}
-		}
-		r.ingestRate = float64(edges) / (time.Duration(len(calm)) * stealWindow).Seconds()
-	} else {
-		// The open loop's rate is the offered one unless the node falls
-		// behind, so it is taken over the whole phase.
-		r.ingestRate = float64(ackedCount(main)) / mainEnd.Seconds()
-	}
-	// The tail phase measures what the main phase does not send.
+	// The tail phase measures what the main phase does not send. It
+	// starts once every write of the main phase is applied.
 	if in.tail.dur > 0 {
-		meter := meterSteal()
-		start := time.Now()
-		tail = d.openLoop(in.tail, start, true)
-		calm := meter.finish(0, window(in.tail.dur))
 		if err := d.flushingRead(); err != nil {
 			return nil, fmt.Errorf("flushing read: %w", err)
 		}
-		if r.ingestRate == 0 {
-			r.ingestRate = float64(ackedCount(tail)) / time.Since(start).Seconds()
-		}
-		for i := range tail {
-			tail[i].calm = calm == nil || calm[window(tail[i].due)]
-		}
-		samples = append(samples, tail...)
+		r.measured = append(r.measured, d.loop(in.tail, time.Now(), true)...)
 	}
-	r.measured = append(main, tail...)
-	if len(main) == 0 {
+	if len(r.measured) == 0 {
 		return nil, errors.New("no request was measured")
+	}
+	if err := d.finishCycles(); err != nil {
+		return nil, fmt.Errorf("finishing the write cycles: %w", err)
+	}
+	if err := d.flushingRead(); err != nil {
+		return nil, fmt.Errorf("flushing read: %w", err)
 	}
 	wal1, err := st.walBytes()
 	if err != nil {
 		return nil, err
 	}
-	if n := ackedCount(samples); n > 0 {
-		r.walBytesPerEdge = float64(wal1-wal0) / float64(n)
-	}
-	var late []float64
-	for _, s := range main {
-		late = append(late, ms(max(0, s.start-s.due)))
-	}
-	if len(in.cycle) == 0 {
-		r.lateP99 = quantile(late, 0.99)
+	if d.sentEdges > 0 {
+		r.walBytesPerEdge = float64(wal1-wal0) / float64(d.sentEdges)
 	}
 
 	t1 := time.Now()
-	r.mae, r.gateErr = checkGates(context.Background(), pr, in, d.cli, ackedEdges(in, samples))
+	r.mae, r.gateErr = checkGates(context.Background(), pr, in, d.cli, d.acked())
 	r.correct = r.gateErr == nil
 
 	r.info["gates_s"] = time.Since(t1).Seconds()

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -29,7 +30,7 @@ func quantile(xs []float64, q float64) float64 {
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// classes are the end-to-end latency classes: a write; a pair read with
+// classes are the end-to-end request classes: a write; a pair read with
 // no write since the previous read; a pair read after a write; a top-K
 // read.
 var classes = []string{"write", "read", "read_after_write", "topk"}
@@ -48,10 +49,10 @@ func class(s sample) string {
 	}
 }
 
-// latencies groups the successful measured samples that keep selects by
-// class. A class the main phase sent is taken from the main phase alone;
-// the others come from the tail.
-func latencies(samples []sample, keep func(sample) bool) map[string][]sample {
+// byClass groups the successful samples that keep selects by class. A
+// class the main phase sent is taken from the main phase alone; the
+// others come from the tail.
+func byClass(samples []sample, keep func(sample) bool) map[string][]sample {
 	main, tail := map[string][]sample{}, map[string][]sample{}
 	for _, s := range samples {
 		if !s.ok || !keep(s) {
@@ -73,8 +74,8 @@ func latencies(samples []sample, keep func(sample) bool) map[string][]sample {
 
 func all(sample) bool { return true }
 
-// millis returns the samples' latencies in milliseconds.
-func millis(ss []sample) []float64 {
+// wallMs returns the samples' latencies in milliseconds.
+func wallMs(ss []sample) []float64 {
 	out := make([]float64, len(ss))
 	for i, s := range ss {
 		out[i] = ms(s.latency())
@@ -82,26 +83,33 @@ func millis(ss []sample) []float64 {
 	return out
 }
 
-// endToEnd assembles the untraced run's metrics. Each latency is the
-// median of its class over the calm windows (see steal.go). Tail
-// percentiles move with the host's load by more than a regression bound
-// could allow, so the traced run reports p90 and p99, ungated.
+// cpuMs returns the samples' CPU times in milliseconds.
+func cpuMs(ss []sample) []float64 {
+	out := make([]float64, len(ss))
+	for i, s := range ss {
+		out[i] = ms(s.cpu)
+	}
+	return out
+}
+
+// endToEnd assembles the untraced run's metrics. Each request class
+// reports the median process CPU time of its requests, and setup_s the
+// median CPU time of a set-up, not wall time: on a small virtual machine
+// that shares its host, the hypervisor takes the CPUs away in bursts
+// (from under 1% to over 25% of CPU time from one run to the next), and
+// wall-clock latencies and the WAL's fsyncs move with it by more than a
+// regression bound could allow. The traced run reports the wall-clock
+// latencies, ungated.
 func endToEnd(r *runResult) map[string]metric {
-	calm := latencies(r.measured, func(s sample) bool { return s.calm })
-	every := latencies(r.measured, all)
+	cls := byClass(r.measured, all)
 	m := map[string]metric{
-		"setup_s":            {quantile(r.setups, 0.5), "s"},
-		"ingest_edges_per_s": {r.ingestRate, "edges/s"},
-		"ops_ok_ratio":       {r.okRatio(), "ratio"},
-		"heap_mib":           {r.heapMiB, "MiB"},
-		"jaccard_mae":        {r.mae, "jaccard"},
+		"setup_s":      {quantile(r.setups, 0.5), "s"},
+		"ops_ok_ratio": {r.okRatio(), "ratio"},
+		"heap_mib":     {r.heapMiB, "MiB"},
+		"jaccard_mae":  {r.mae, "jaccard"},
 	}
 	for _, c := range classes {
-		ss := calm[c]
-		if len(ss) == 0 {
-			ss = every[c]
-		}
-		m[c+"_p50_ms"] = metric{quantile(millis(ss), 0.5), "ms"}
+		m[c+"_cpu_ms"] = metric{quantile(cpuMs(cls[c]), 0.5), "ms"}
 	}
 	return m
 }
@@ -183,20 +191,21 @@ func perLayer(r *runResult) (map[string]metric, error) {
 		"gateway.backend_export_bytes":    {ratio(exportBytes, exports), "B"},
 		"gateway.gathers_per_read":        {ratio(dirtyExports, dirtyReads), "count"},
 		"gateway.backend_ingest_us_p50":   {p50(durs["backend.edges"]), "us"},
-		"loadgen.late_p99_ms":             {r.lateP99, "ms"},
 	}
-	// The untraced half of the run gives each class's tail latencies, and
-	// the tracing overhead: traced minus untraced medians.
-	traced := latencies(r.measured, func(s sample) bool { return s.traced })
-	plain := latencies(r.measured, func(s sample) bool { return !s.traced })
+	// The untraced half of the run gives each class's wall-clock
+	// latencies, and the tracing overhead: traced minus untraced CPU
+	// medians.
+	traced := byClass(r.measured, func(s sample) bool { return s.traced })
+	plain := byClass(r.measured, func(s sample) bool { return !s.traced })
 	for _, c := range classes {
-		m["loadgen."+c+"_p90_ms"] = metric{quantile(millis(plain[c]), 0.9), "ms"}
-		m["loadgen."+c+"_p99_ms"] = metric{quantile(millis(plain[c]), 0.99), "ms"}
+		for _, q := range []float64{50, 90, 99} {
+			m[fmt.Sprintf("loadgen.%s_p%g_ms", c, q)] = metric{quantile(wallMs(plain[c]), q/100), "ms"}
+		}
 		var v float64
 		if len(traced[c]) > 0 && len(plain[c]) > 0 {
-			v = p50(millis(traced[c])) - p50(millis(plain[c]))
+			v = p50(cpuMs(traced[c])) - p50(cpuMs(plain[c]))
 		}
-		m["trace.overhead_"+c+"_p50_ms"] = metric{v, "ms"}
+		m["trace.overhead_"+c+"_cpu_ms"] = metric{v, "ms"}
 	}
 	return m, nil
 }

@@ -118,16 +118,16 @@ func TestParityGateFiresOnMismatchedOracle(t *testing.T) {
 	d := newDriver(pr, in, nil, st.url)
 	defer d.close()
 	ctx := context.Background()
-	for _, b := range in.batches[:2] {
+	for _, b := range in.writes[:2] {
 		if err := d.wcli.Ingest(ctx, b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, err = checkGates(ctx, pr, in, d.cli, in.batches[0])
+	_, err = checkGates(ctx, pr, in, d.cli, in.writes[0])
 	if err == nil || !strings.Contains(err.Error(), "parity") {
 		t.Fatalf("gate against a mismatched oracle: %v, want a parity error", err)
 	}
-	acked := append(append([]vos.Edge(nil), in.batches[0]...), in.batches[1]...)
+	acked := append(append([]vos.Edge(nil), in.writes[0]...), in.writes[1]...)
 	if _, err := checkGates(ctx, pr, in, d.cli, acked); err != nil {
 		t.Fatalf("gate against the matching oracle: %v", err)
 	}
@@ -153,11 +153,13 @@ func TestInverseCancels(t *testing.T) {
 	sk := vos.MustNew(tinyParams().sketch)
 	sk.ProcessBatch(in.preload)
 	want, _ := sk.MarshalBinary()
-	for _, b := range in.cycle {
-		sk.ProcessBatch(b)
-	}
-	got, _ := sk.MarshalBinary()
-	if string(got) != string(want) {
-		t.Fatal("a whole S, S⁻¹ cycle did not return the sketch to the preload state")
+	for _, cycle := range [][][]vos.Edge{in.bulk, in.writes} {
+		for _, b := range cycle {
+			sk.ProcessBatch(b)
+		}
+		got, _ := sk.MarshalBinary()
+		if string(got) != string(want) {
+			t.Fatal("a whole S, S⁻¹ cycle did not return the sketch to the preload state")
+		}
 	}
 }

@@ -34,13 +34,13 @@ func (k opKind) String() string {
 	return [...]string{"write", "similarity", "topk"}[k]
 }
 
-// op is one scheduled request. Writes carry the index of their batch,
-// and bulk marks an ingest-bulk batch.
+// op is one request of a plan. Pair and top-K reads carry their users;
+// a write takes the next batch of its write stream, and bulk marks an
+// ingest-bulk batch.
 type op struct {
-	kind  opKind
-	u, v  vos.User
-	batch int
-	bulk  bool
+	kind opKind
+	u, v vos.User
+	bulk bool
 }
 
 // params sizes a run. fullParams is the benchmark; tinyParams keeps the
@@ -60,13 +60,13 @@ type params struct {
 	zipfS float64
 	// candidates and topN shape every top-K read.
 	candidates, topN int
-	// writeBatch is the edge count of an open-loop write; bulkBatch and
-	// bulkCycle (batches per half cycle) shape the ingest-bulk stream.
-	writeBatch, bulkBatch, bulkCycle int
-	// rwRate and clusterRate are the cycles per second of the rw cycle on
-	// one node and through the gateway; hotRate and tailRate those of the
-	// read-hot and tail cycles.
-	rwRate, clusterRate, hotRate, tailRate float64
+	// writeBatch is the edge count of a write and writeCycle the batches
+	// in each half of the write stream's S, S⁻¹ cycle; bulkBatch and
+	// bulkCycle shape the ingest-bulk stream the same way.
+	writeBatch, writeCycle, bulkBatch, bulkCycle int
+	// plan is the length of every phase's request plan; a phase that
+	// outlasts it starts it again.
+	plan int
 	// warm is the unmeasured lead-in of every run; segment is the length
 	// of the alternating traced and untraced slices of a traced run.
 	warm, segment time.Duration
@@ -88,10 +88,10 @@ func fullParams() params {
 		preload: p,
 		hot:     4096, zipfS: 1.1,
 		candidates: 200, topN: 10,
-		writeBatch: 64, bulkBatch: 8192, bulkCycle: 8,
-		rwRate: 6, clusterRate: 1.5, hotRate: 150, tailRate: 12,
+		writeBatch: 64, writeCycle: 256, bulkBatch: 8192, bulkCycle: 8,
+		plan: 1 << 14,
 		warm: time.Second, segment: 500 * time.Millisecond,
-		setups:    5,
+		setups:    7,
 		pairAmong: 256, pairSample: 3000, cardSample: 200, topKSample: 8,
 	}
 }
@@ -106,8 +106,8 @@ func tinyParams() params {
 		preload: p,
 		hot:     200, zipfS: 1.1,
 		candidates: 50, topN: 5,
-		writeBatch: 16, bulkBatch: 256, bulkCycle: 3,
-		rwRate: 40, clusterRate: 20, hotRate: 100, tailRate: 40,
+		writeBatch: 16, writeCycle: 8, bulkBatch: 256, bulkCycle: 3,
+		plan: 64,
 		warm: 100 * time.Millisecond, segment: 100 * time.Millisecond,
 		setups:    2,
 		pairAmong: 100, pairSample: 40, cardSample: 40, topKSample: 3,
@@ -135,12 +135,12 @@ const graphSeed = 1
 // seconds given to the tail phase.
 const tailShare = 0.4
 
-// phase is one stretch of open-loop traffic: a plan of requests at a
-// fixed rate for a measured duration.
+// phase is one stretch of closed-loop traffic: one client sends the
+// plan's requests back to back, each as soon as the previous one is
+// answered, for dur.
 type phase struct {
-	ops  []op
-	rate float64 // requests per second
-	dur  time.Duration
+	ops []op
+	dur time.Duration
 }
 
 // inputs is everything a run feeds the system, generated from the seed
@@ -151,14 +151,12 @@ type inputs struct {
 	// ranked lists the preloaded users by degree, most popular first.
 	ranked     []vos.User
 	candidates []vos.User
-	// batches are the open-loop write batches, in stream order; write ops
-	// refer to them by index.
-	batches [][]vos.Edge
-	// cycle is ingest-bulk's S, S⁻¹ stream in bulk batches.
-	cycle [][]vos.Edge
-	// main is the workload's own traffic (its plan covers the warm-up
-	// too; ingest-bulk's closed loop has none); tail, when its duration is
-	// not zero, follows it.
+	// writes and bulk are the two write streams, each an S, S⁻¹ cycle in
+	// batches: writes feeds the writeBatch-edge writes, bulk the
+	// ingest-bulk batches (empty on other workloads).
+	writes, bulk [][]vos.Edge
+	// main is the workload's own traffic, warm-up included; tail, when
+	// its duration is not zero, follows it.
 	main, tail phase
 }
 
@@ -207,48 +205,36 @@ func makeInputs(pr params, workload string, seed int64, seconds float64) (*input
 	everyone := newZipfUsers(rng, ranked, pr.zipfS)
 	hot := newZipfUsers(rng, ranked[:pr.hot], pr.zipfS)
 	measured := time.Duration(seconds * float64(time.Second))
-	var writes int
 	switch workload {
 	case wlRWMixed, wlClusterRW:
-		cycles := pr.rwRate
-		if workload == wlClusterRW {
-			cycles = pr.clusterRate
-		}
-		in.main = newPhase(rwCycle, cycles, pr.warm+measured, hot, &writes)
-		in.main.dur = measured
-	case wlReadHot, wlIngestBulk:
+		in.main = newPhase(rwCycle, pr.plan, pr.warm+measured, hot)
+	case wlReadHot:
 		tail := time.Duration(tailShare * float64(measured))
-		main := measured - tail
-		if workload == wlReadHot {
-			in.main = newPhase(hotCycle, pr.hotRate, pr.warm+main, hot, &writes)
-		} else {
-			s := churn(rng, everyone.pick, pr.bulkCycle*pr.bulkBatch, uint64(pr.preload.Items), seed+2)
-			in.cycle = append(chunk(s, pr.bulkBatch), chunk(inverse(s), pr.bulkBatch)...)
-		}
-		in.main.dur = main
-		in.tail = newPhase(tailCycle, pr.tailRate, tail, hot, &writes)
+		in.main = newPhase(hotCycle, pr.plan, pr.warm+measured-tail, hot)
+		in.tail = newPhase(tailCycle, pr.plan, tail, hot)
+	case wlIngestBulk:
+		tail := time.Duration(tailShare * float64(measured))
+		in.main = phase{ops: []op{{kind: opWrite, bulk: true}}, dur: pr.warm + measured - tail}
+		in.tail = newPhase(tailCycle, pr.plan, tail, hot)
+		s := churn(rng, everyone.pick, pr.bulkCycle*pr.bulkBatch, uint64(pr.preload.Items), seed+2)
+		in.bulk = append(chunk(s, pr.bulkBatch), chunk(inverse(s), pr.bulkBatch)...)
 	default:
 		return nil, fmt.Errorf("unknown workload %q (want one of %v)", workload, workloads)
 	}
-	// Open-loop writes use items above every bulk-cycle item, so the two
+	// The small writes use items above every bulk item, so the two
 	// streams never touch the same edge.
-	s := churn(rng, everyone.pick, writes*pr.writeBatch, uint64(pr.preload.Items)+1<<31, seed+3)
-	in.batches = chunk(s, pr.writeBatch)
+	s := churn(rng, everyone.pick, pr.writeCycle*pr.writeBatch, uint64(pr.preload.Items)+1<<31, seed+3)
+	in.writes = append(chunk(s, pr.writeBatch), chunk(inverse(s), pr.writeBatch)...)
 	return in, nil
 }
 
-// newPhase lays the cycle over every schedule slot of a span at the given
-// cycles per second, drawing read users from hot. Write slots take the
-// next write batches; *writes counts them across phases.
-func newPhase(cycle []opKind, cyclesPerSec float64, span time.Duration, hot *zipfUsers, writes *int) phase {
-	rate := cyclesPerSec * float64(len(cycle))
-	ops := make([]op, int(rate*span.Seconds()))
+// newPhase lays the cycle over a plan of about n requests, a whole
+// number of cycles, drawing read users from hot.
+func newPhase(cycle []opKind, n int, dur time.Duration, hot *zipfUsers) phase {
+	ops := make([]op, max(1, n/len(cycle))*len(cycle))
 	for i := range ops {
 		o := op{kind: cycle[i%len(cycle)]}
 		switch o.kind {
-		case opWrite:
-			o.batch = *writes
-			*writes++
 		case opPair:
 			o.u, o.v = hot.pair()
 		case opTopK:
@@ -256,7 +242,7 @@ func newPhase(cycle []opKind, cyclesPerSec float64, span time.Duration, hot *zip
 		}
 		ops[i] = o
 	}
-	return phase{ops: ops, rate: rate, dur: span}
+	return phase{ops: ops, dur: dur}
 }
 
 // churn returns a feasible insert/delete stream of exactly n elements:
@@ -284,8 +270,8 @@ func churn(rng *rand.Rand, pick func() vos.User, n int, itemBase uint64, seed in
 }
 
 // inverse returns S⁻¹: S reversed with every op flipped. Applying S then
-// S⁻¹ returns any state to where it started, so ingest-bulk can cycle one
-// stream for as long as it runs.
+// S⁻¹ returns any state to where it started, so a write stream can cycle
+// for as long as a run lasts.
 func inverse(s []vos.Edge) []vos.Edge {
 	out := make([]vos.Edge, len(s))
 	for i, e := range s {
