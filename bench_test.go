@@ -277,24 +277,6 @@ func BenchmarkSequentialIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkMutexIngest measures the global-RWMutex ConcurrentSketch under
-// parallel writers: every Process serialises on one lock, so adding cores
-// does not add throughput — the bottleneck the Engine removes.
-func BenchmarkMutexIngest(b *testing.B) {
-	edges := ingestStream(b)
-	cs, err := vos.NewConcurrent(ingestConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	var next atomic.Uint64
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			i := next.Add(1)
-			cs.Process(edges[i%uint64(len(edges))])
-		}
-	})
-}
-
 // BenchmarkEngineIngest measures sharded-engine ingest at 1/2/4/8 shards
 // with parallel producers. On a multicore machine, ns/op should fall
 // (throughput rise) monotonically from 1 to 4 shards while worker cost

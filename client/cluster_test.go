@@ -148,8 +148,7 @@ func TestClusterClientFullStack(t *testing.T) {
 // client→gateway stack — the answer comes back with the partial flag.
 func TestClusterClientPartialTopK(t *testing.T) {
 	ctx := context.Background()
-	// Snapshot cache off so the gather really contacts the drained node.
-	st := newGatewayStack(t, 3, cluster.Options{DisableSnapshotCache: true})
+	st := newGatewayStack(t, 3, cluster.Options{})
 	cl := client.NewCluster(st.url, client.Options{MaxRetries: -1})
 	t.Cleanup(func() { cl.Close() })
 
@@ -185,6 +184,18 @@ func TestClusterClientPartialTopK(t *testing.T) {
 
 	// Drain one backend: its /v1/ routes now answer 503 draining.
 	if err := st.backends[2].Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// A write owned by a live backend retires the healthy answer's cached
+	// merge, so the next gather really contacts the drained node.
+	live := uint64(0)
+	for st.gw.Ring().ShardOf(vos.User(live)) == 2 {
+		live++
+	}
+	if err := cl.Ingest(ctx, []vos.Edge{edge(live, 5000)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
 

@@ -286,7 +286,7 @@ func run(id string, opts experiments.Options) ([]*experiments.Table, error) {
 		}
 		return out, nil
 	default:
-		return nil, fmt.Errorf("vosbench: unknown experiment %q", id)
+		return nil, fmt.Errorf("unknown experiment %q", id)
 	}
 }
 
@@ -309,12 +309,12 @@ func parseIntList(s, flagName string) ([]int, error) {
 		}
 		k, err := strconv.Atoi(p)
 		if err != nil || k <= 0 {
-			return nil, fmt.Errorf("vosbench: bad value %q in %s", p, flagName)
+			return nil, fmt.Errorf("bad value %q in %s", p, flagName)
 		}
 		out = append(out, k)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("vosbench: empty %s", flagName)
+		return nil, fmt.Errorf("empty %s", flagName)
 	}
 	return out, nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/vossketch/vos/internal/experiments"
@@ -14,8 +15,11 @@ func TestParseKs(t *testing.T) {
 		t.Errorf("parseIntList = %v, %v", got, err)
 	}
 	for _, bad := range []string{"", "x", "0", "-5", "1,,x"} {
-		if _, err := parseIntList(bad, "-runtime-ks"); err == nil {
+		_, err := parseIntList(bad, "-runtime-ks")
+		if err == nil {
 			t.Errorf("parseIntList(%q) accepted", bad)
+		} else if strings.HasPrefix(err.Error(), "vosbench:") {
+			t.Errorf("parseIntList(%q) error %q carries the prefix fatal adds", bad, err)
 		}
 	}
 	// Trailing comma tolerated.
@@ -25,8 +29,13 @@ func TestParseKs(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if _, err := run("nope", experiments.Options{}); err == nil {
-		t.Error("unknown experiment accepted")
+	_, err := run("nope", experiments.Options{})
+	if err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
+	// fatal prefixes the program name; the error must not carry it too.
+	if strings.HasPrefix(err.Error(), "vosbench:") {
+		t.Errorf("error %q carries the prefix fatal adds", err)
 	}
 }
 

@@ -31,12 +31,6 @@ type Options struct {
 	// backend's WAL" — a gateway-side buffer would acknowledge edges a
 	// backend crash could lose.
 	Client client.Options
-	// DisableSnapshotCache forces every read to re-gather instead of
-	// reusing the merged cluster sketch until the next acknowledged
-	// ingest or membership change. The cache key covers both, so there is
-	// no correctness knob here — the field exists for benchmarks that
-	// want to measure the cold gather.
-	DisableSnapshotCache bool
 }
 
 // Gateway is the vosgw routing tier: one instance fans ingest to the
@@ -69,10 +63,10 @@ type Gateway struct {
 	// merge), and ingest never fails during a handoff, it just waits.
 	gates []sync.RWMutex
 
-	// ingests counts acknowledged ingest batches; with the ring version
-	// it keys the snapshot cache. Counting BEFORE the gather makes a
-	// stale hit impossible: a racing ingest bumps the counter and the
-	// next query re-gathers.
+	// ingests counts ingest fan-outs, acknowledged or partly failed; with
+	// the ring version it keys the snapshot cache. Counting BEFORE the
+	// gather makes a stale hit impossible: a racing ingest bumps the
+	// counter and the next query re-gathers.
 	ingests atomic.Uint64
 
 	snapMu  sync.Mutex
@@ -206,11 +200,11 @@ func (g *Gateway) Ingest(ctx context.Context, edges []vos.Edge) error {
 		}(shard, group)
 	}
 	wg.Wait()
-	if len(errs) > 0 {
-		return errors.Join(errs...)
-	}
+	// Bump even when some owner failed: the others have applied their
+	// edges, so a merge cached before this batch no longer describes the
+	// cluster.
 	g.ingests.Add(1)
-	return nil
+	return errors.Join(errs...)
 }
 
 // forward ships one shard's edges to its owner under the shard's handoff
@@ -245,21 +239,19 @@ var errNoBackends = fmt.Errorf("%w: no cluster backend reachable", vos.ErrQueryU
 //
 // With allowPartial, unreachable backends are skipped and complete=false
 // reports the gap; otherwise any failure fails the gather. Complete
-// merges are cached, keyed by (acknowledged-ingest count, ring version):
+// merges are cached, keyed by (ingest fan-out count, ring version):
 // the count is captured BEFORE the gather, so a racing ingest can only
 // make a cached snapshot re-gather early, never serve late.
 func (g *Gateway) snapshot(ctx context.Context, allowPartial bool) (*core.VOS, bool, error) {
 	seq := g.ingests.Load()
 	ring := g.Ring()
-	if !g.opt.DisableSnapshotCache {
-		g.snapMu.Lock()
-		if g.snap != nil && g.snapSeq == seq && g.snapVer == ring.Version {
-			snap := g.snap
-			g.snapMu.Unlock()
-			return snap, true, nil
-		}
+	g.snapMu.Lock()
+	if g.snap != nil && g.snapSeq == seq && g.snapVer == ring.Version {
+		snap := g.snap
 		g.snapMu.Unlock()
+		return snap, true, nil
 	}
+	g.snapMu.Unlock()
 
 	type part struct {
 		sk  *core.VOS
@@ -309,7 +301,7 @@ func (g *Gateway) snapshot(ctx context.Context, allowPartial bool) (*core.VOS, b
 	if merged == nil {
 		return nil, false, errNoBackends
 	}
-	if complete && !g.opt.DisableSnapshotCache {
+	if complete {
 		g.snapMu.Lock()
 		g.snap = merged
 		g.snapSeq = seq

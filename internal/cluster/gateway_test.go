@@ -361,9 +361,9 @@ func TestGatewayHandoffPersistsRing(t *testing.T) {
 // oracle over only the reachable shards' users.
 func TestGatewayPartialTopK(t *testing.T) {
 	const users = 90
-	// Cache disabled so the gather actually contacts the drained backend
-	// (a cached complete snapshot would - correctly - keep serving).
-	gw, backends := newTestCluster(t, 3, Options{DisableSnapshotCache: true})
+	// No read before the drain: with nothing cached, every gather below
+	// really contacts the drained backend.
+	gw, backends := newTestCluster(t, 3, Options{})
 	edges := clusterWorkload(11, users, 3000)
 	ingestBatches(t, gw, edges, 200)
 	ctx := context.Background()
@@ -423,6 +423,74 @@ func TestGatewayPartialTopK(t *testing.T) {
 	}
 	if _, _, err := gw.TopKPartial(ctx, 1, candidates, 10); !errors.Is(err, vos.ErrQueryUnavailable) {
 		t.Fatalf("zero reachable backends: want ErrQueryUnavailable, got %v", err)
+	}
+}
+
+// TestGatewayPartialIngestInvalidatesCache: when one owner rejects its
+// part of an ingest, the others have still applied theirs, so the merge
+// cached before the batch must not keep answering — the gateway's export
+// has to equal the XOR of what its backends now hold.
+func TestGatewayPartialIngestInvalidatesCache(t *testing.T) {
+	ctx := context.Background()
+	open := newBackend(t, "")
+	// The second backend stays readable but refuses any ingest body over
+	// 64 bytes with 413.
+	eng := vos.MustNewEngine(vos.EngineConfig{Sketch: testSketchCfg, Shards: 2})
+	small := httptest.NewServer(server.New(vos.NewEngineService(eng), server.Options{MaxBatchBytes: 64}))
+	t.Cleanup(func() {
+		small.Close()
+		eng.Close()
+	})
+	gw, err := New(&Ring{Version: 1, RouteSeed: 9, Shards: []string{open.URL(), small.URL}},
+		Options{Client: client.Options{MaxRetries: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { gw.Close() })
+
+	// Warm the cache over a batch the open backend owns entirely.
+	edges := clusterWorkload(17, 40, 400)
+	var first []vos.Edge
+	for _, e := range edges {
+		if gw.Ring().ShardOf(e.User) == 0 {
+			first = append(first, e)
+		}
+	}
+	if err := gw.Ingest(ctx, first); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gw.ExportSketch(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// Both owners get a share; only the open one accepts it.
+	if err := gw.Ingest(ctx, edges); err == nil {
+		t.Fatal("ingest with one backend answering 413 reported success")
+	}
+	want := core.MustNew(testSketchCfg)
+	for _, e := range []*vos.Engine{open.eng, eng} {
+		data, err := e.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, err := core.UnmarshalVOS(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := want.Merge(part); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantBytes, err := want.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := gw.ExportSketch(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, wantBytes) {
+		t.Fatal("gateway export after a partly failed ingest differs from the XOR of its backends")
 	}
 }
 

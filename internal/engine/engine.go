@@ -5,8 +5,8 @@
 // core.VOS.Merge is exact for every way of splitting the input. That makes
 // "one sketch per shard, merge for queries" a lossless parallelisation —
 // the same partition-then-merge structure gSketch (VLDB'12) uses to
-// localise stream updates — where a single mutex-guarded sketch
-// (vos.ConcurrentSketch) serialises every update on one lock.
+// localise stream updates — instead of serialising every update on one
+// lock around a single sketch.
 //
 // Topology: N independent core.VOS shards with identical Config, each owned
 // by one ingest goroutine fed through a buffered channel of edge batches.
@@ -20,8 +20,7 @@
 // Queries answer from a merged global snapshot rebuilt on demand when the
 // applied-edge count has advanced past Config.SnapshotMaxLag — merging is
 // exact, so a post-Flush Query returns bit-identical estimates to a single
-// Sketch that consumed the whole stream. QueryLocal offers a lower-latency
-// path that touches only the owning shard when both users co-reside.
+// Sketch that consumed the whole stream.
 package engine
 
 import (
@@ -48,18 +47,6 @@ import (
 // shutdown get a typed error instead of an answer that may predate the
 // final flush.
 var ErrClosed = errors.New("engine: closed")
-
-// ErrQueryUnavailable is returned by query paths that cannot answer in the
-// engine's current state — today, QueryLocal on a checkpoint-recovered
-// engine, whose pre-checkpoint parity lives in the frozen base sketch
-// rather than in any shard. Callers should fall back to the merged-snapshot
-// path (Query/QueryContext).
-var ErrQueryUnavailable = errors.New("engine: query unavailable")
-
-// ErrNotCoResident is returned by QueryLocal when the two users live on
-// different shards, so no single shard holds both users' parity state.
-// Callers should fall back to Query.
-var ErrNotCoResident = errors.New("engine: users are not co-resident on one shard")
 
 // Config parameterises an Engine. The zero value of every field except
 // Sketch selects a sensible default.
@@ -239,8 +226,8 @@ type Engine struct {
 	// (plus any ImportSketch merges — see transfer.go): shards hold only
 	// post-checkpoint deltas and query paths merge the base back in. Each
 	// published base sketch is immutable; ImportSketch swaps in a freshly
-	// merged one, which is why the pointer is atomic — Cardinality and
-	// QueryLocal read it without any lock.
+	// merged one, which is why the pointer is atomic — Cardinality reads
+	// it without any lock.
 	log   *wal.Log
 	walMu sync.RWMutex
 	base  atomic.Pointer[core.VOS]
@@ -792,39 +779,6 @@ func (e *Engine) PositionCacheStats() (st poscache.Stats, ok bool) {
 		return poscache.Stats{}, false
 	}
 	return e.pcache.Stats(), true
-}
-
-// QueryLocal answers a pair query from the owning shard alone when both
-// users co-reside, skipping the global merge: one RLock on one shard, no
-// cross-shard work. It returns ErrNotCoResident when the users live on
-// different shards (fall back to Query), ErrQueryUnavailable on a
-// checkpoint-recovered engine, and ErrClosed after Close — typed errors
-// instead of the zero estimates these states used to produce silently.
-//
-// The shard holds all of both users' parity state, so the estimate is
-// valid — and its contamination term β reflects only the shard's own
-// users, typically less loaded than the global array — but it is not
-// bit-identical to the monolithic baseline, which Query is.
-//
-// On an engine recovered from a checkpoint the pre-checkpoint parity state
-// lives in the frozen base sketch, not in any shard, so the local answer
-// would be wrong; QueryLocal then always returns ErrQueryUnavailable.
-func (e *Engine) QueryLocal(u, v stream.User) (core.Estimate, error) {
-	if e.closed.Load() {
-		return core.Estimate{}, ErrClosed
-	}
-	if e.base.Load() != nil || e.winBase != nil {
-		return core.Estimate{}, fmt.Errorf("%w: pre-checkpoint state lives in the recovery base, not in any shard", ErrQueryUnavailable)
-	}
-	e.maybeAdvance()
-	su, sv := e.ShardOf(u), e.ShardOf(v)
-	if su != sv {
-		return core.Estimate{}, fmt.Errorf("%w: user %d is on shard %d, user %d on shard %d", ErrNotCoResident, u, su, v, sv)
-	}
-	s := e.shards[su]
-	s.skMu.RLock()
-	defer s.skMu.RUnlock()
-	return s.sk.Query(u, v), nil
 }
 
 // QueryContext is Query with lifecycle and cancellation checks: ErrClosed

@@ -107,8 +107,9 @@ func UDPSoak(opts Options, soak UDPSoakOptions) (*Table, error) {
 // soakHTTP times the HTTP binary ingest path end to end: a real server on
 // loopback, the real client, one POST round-trip per batch.
 func soakHTTP(tbl *Table, cfg core.Config, edges []stream.Edge, batch int, want []byte) (nsPerEdge float64, err error) {
-	sk := core.MustNew(cfg)
-	srv := server.New(vos.NewSketchService(sk), server.Options{})
+	eng, svc := newSoakService(cfg)
+	defer eng.Close()
+	srv := server.New(svc, server.Options{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return 0, err
@@ -136,7 +137,7 @@ func soakHTTP(tbl *Table, cfg core.Config, edges []stream.Edge, batch int, want 
 		return 0, err
 	}
 
-	got, err := sk.MarshalBinary()
+	got, err := eng.MarshalBinary()
 	if err != nil {
 		return 0, err
 	}
@@ -157,8 +158,9 @@ func soakHTTP(tbl *Table, cfg core.Config, edges []stream.Edge, batch int, want 
 // soakUDPClean times the datagram path under clean delivery through the
 // real UDPClient (windowed acks on), gating on a spotless ledger.
 func soakUDPClean(tbl *Table, cfg core.Config, edges []stream.Edge, batch int, want []byte) (nsPerEdge float64, err error) {
-	sk := core.MustNew(cfg)
-	recv, runErr, err := startSoakReceiver(sk)
+	eng, svc := newSoakService(cfg)
+	defer eng.Close()
+	recv, runErr, err := startSoakReceiver(svc)
 	if err != nil {
 		return 0, err
 	}
@@ -196,7 +198,7 @@ func soakUDPClean(tbl *Table, cfg core.Config, edges []stream.Edge, batch int, w
 		return 0, fmt.Errorf("udpsoak: clean-run receiver counters not clean: %+v", rst)
 	}
 
-	got, err := sk.MarshalBinary()
+	got, err := eng.MarshalBinary()
 	if err != nil {
 		return 0, err
 	}
@@ -222,8 +224,9 @@ func soakUDPClean(tbl *Table, cfg core.Config, edges []stream.Edge, batch int, w
 // count, and the sketch must equal an oracle fed exactly the batches that
 // were applied.
 func soakUDPFaults(tbl *Table, cfg core.Config, edges []stream.Edge, batch int) error {
-	sk := core.MustNew(cfg)
-	recv, runErr, err := startSoakReceiver(sk)
+	eng, svc := newSoakService(cfg)
+	defer eng.Close()
+	recv, runErr, err := startSoakReceiver(svc)
 	if err != nil {
 		return err
 	}
@@ -351,7 +354,7 @@ func soakUDPFaults(tbl *Table, cfg core.Config, edges []stream.Edge, batch int) 
 		return fmt.Errorf("udpsoak: applied %d edges in %d frames, want %d in %d",
 			rst.EdgesApplied, rst.FramesApplied, appliedEdges, appliedFrames)
 	}
-	got, err := sk.MarshalBinary()
+	got, err := eng.MarshalBinary()
 	if err != nil {
 		return err
 	}
@@ -377,18 +380,23 @@ func soakUDPFaults(tbl *Table, cfg core.Config, edges []stream.Edge, batch int) 
 	return nil
 }
 
-// startSoakReceiver runs a Receiver on loopback sinking into sk. The
-// receive loop is the only writer, so the sketch needs no lock.
-func startSoakReceiver(sk *core.VOS) (*netproto.Receiver, chan error, error) {
+// newSoakService is the state every transport run ingests into: a
+// memory-only single-shard engine behind the service adapter vosd serves,
+// so the HTTP and datagram rows share one apply path.
+func newSoakService(cfg core.Config) (*vos.Engine, vos.SimilarityService) {
+	eng := vos.MustNewEngine(vos.EngineConfig{Sketch: cfg, Shards: 1})
+	return eng, vos.NewEngineService(eng)
+}
+
+// startSoakReceiver runs a Receiver on loopback sinking into svc, as vosd
+// wires its datagram plane.
+func startSoakReceiver(svc vos.SimilarityService) (*netproto.Receiver, chan error, error) {
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		return nil, nil, err
 	}
 	recv := netproto.NewReceiver(pc, netproto.Config{
-		Sink: func(batch []stream.Edge) error {
-			sk.ProcessBatch(batch)
-			return nil
-		},
+		Sink: func(batch []stream.Edge) error { return svc.Ingest(context.Background(), batch) },
 	})
 	runErr := make(chan error, 1)
 	go func() { runErr <- recv.Run() }()

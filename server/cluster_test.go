@@ -93,11 +93,12 @@ func TestClusterSketchRoundTrip(t *testing.T) {
 // interfaces answers 501 unsupported on both handoff routes — the probe
 // contract every optional capability follows.
 func TestClusterRoutesUnsupported(t *testing.T) {
-	sk, err := vos.New(vos.Config{MemoryBits: 1 << 14, SketchBits: 256, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(server.New(vos.NewSketchService(sk), server.Options{}))
+	eng := vos.MustNewEngine(vos.EngineConfig{Sketch: vos.Config{MemoryBits: 1 << 14, SketchBits: 256, Seed: 3}, Shards: 1})
+	t.Cleanup(func() { eng.Close() })
+	// Embedding the interface hides the engine service's optional
+	// capabilities, as blockingService does.
+	svc := struct{ vos.SimilarityService }{vos.NewEngineService(eng)}
+	ts := httptest.NewServer(server.New(svc, server.Options{}))
 	t.Cleanup(ts.Close)
 
 	resp, err := http.Get(ts.URL + server.RouteClusterSketch)

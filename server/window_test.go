@@ -280,7 +280,7 @@ func TestQueryPredatesWindow(t *testing.T) {
 }
 
 // TestWindowedServiceCapability pins the Windowed capability surface on
-// the in-process adapters.
+// the engine service.
 func TestWindowedServiceCapability(t *testing.T) {
 	ctx := context.Background()
 	clk := &fakeClock{t: time.Unix(2000, 0)}

@@ -2,7 +2,7 @@ package vos
 
 import (
 	"context"
-	"sync"
+	"errors"
 	"time"
 
 	"github.com/vossketch/vos/internal/engine"
@@ -12,8 +12,8 @@ import (
 // one contract for "ingest a dynamic graph stream, answer similarity
 // queries over it" that every deployment shape satisfies —
 //
-//   - NewSketchService / NewConcurrentService wrap an in-process sketch,
-//   - NewEngineService wraps the sharded (optionally durable) Engine,
+//   - NewEngineService wraps the sharded (optionally durable) Engine, the
+//     one in-process shape (Shards: 1 is the single-core deployment),
 //   - package client implements it over the versioned HTTP API that
 //     package server exposes, so swapping an in-process engine for a
 //     remote vosd daemon is a one-constructor change.
@@ -133,24 +133,16 @@ type PartialTopK interface {
 	TopKPartial(ctx context.Context, u User, candidates []User, n int) ([]TopKResult, bool, error)
 }
 
-// ErrQueryUnavailable is returned by query paths that cannot answer in the
-// backing engine's current state (e.g. Engine.QueryLocal after checkpoint
-// recovery). Callers should fall back to the merged-snapshot query path.
-var ErrQueryUnavailable = engine.ErrQueryUnavailable
-
-// ErrNotCoResident is returned by Engine.QueryLocal when the two users live
-// on different shards; fall back to Engine.Query.
-var ErrNotCoResident = engine.ErrNotCoResident
+// ErrQueryUnavailable is returned by query paths that cannot reach the
+// state they need right now: a cluster gateway with no reachable backend,
+// or (through package client) a node that is draining. Callers may retry
+// once the state is reachable again.
+var ErrQueryUnavailable = errors.New("vos: query unavailable")
 
 // ErrClosed is returned by every SimilarityService method once the backing
 // engine has been closed. It is the same sentinel as ErrEngineClosed, under
 // the name the service layer uses.
 var ErrClosed = engine.ErrClosed
-
-// ingestCheckStride is how many edges the in-process Ingest loops fold
-// between context polls: frequent enough that a cancelled bulk load stops
-// within microseconds, rare enough that the poll never shows on a profile.
-const ingestCheckStride = 1024
 
 // engineService adapts *Engine to SimilarityService. Reads flush first —
 // read-your-writes: an accepted edge may still sit in a producer buffer or
@@ -291,118 +283,4 @@ func (s *engineService) flush(ctx context.Context) error {
 	}
 	s.e.Flush()
 	return nil
-}
-
-// sketchService adapts a bare *Sketch to SimilarityService, serialising
-// every call on one mutex — the sketch itself is not safe for concurrent
-// use, and a service handed to an HTTP server will be called from many
-// goroutines. It is the single-core deployment shape; use NewEngineService
-// when ingest must scale.
-type sketchService struct {
-	mu sync.Mutex
-	sk *Sketch
-}
-
-// NewSketchService wraps a bare Sketch in the SimilarityService interface.
-// Calls are serialised on an internal mutex, so the service is safe for
-// concurrent use even though the sketch is not.
-func NewSketchService(sk *Sketch) SimilarityService { return &sketchService{sk: sk} }
-
-func (s *sketchService) Ingest(ctx context.Context, edges []Edge) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, e := range edges {
-		if i%ingestCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		s.sk.Process(e)
-	}
-	return nil
-}
-
-func (s *sketchService) Similarity(ctx context.Context, u, v User) (Estimate, error) {
-	if err := ctx.Err(); err != nil {
-		return Estimate{}, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sk.Query(u, v), nil
-}
-
-func (s *sketchService) TopK(ctx context.Context, u User, candidates []User, n int) ([]TopKResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sk.TopKRecoveredContext(ctx, s.sk.RecoverSketch(u), candidates, n)
-}
-
-func (s *sketchService) Cardinality(ctx context.Context, u User) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sk.Cardinality(u), nil
-}
-
-func (s *sketchService) Stats(ctx context.Context) (Stats, error) {
-	if err := ctx.Err(); err != nil {
-		return Stats{}, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sk.Stats(), nil
-}
-
-// concurrentService adapts *ConcurrentSketch: the wrapper already owns the
-// locking, so the adapter only adds the context checks.
-type concurrentService struct {
-	c *ConcurrentSketch
-}
-
-// NewConcurrentService wraps a ConcurrentSketch in the SimilarityService
-// interface.
-func NewConcurrentService(c *ConcurrentSketch) SimilarityService {
-	return &concurrentService{c: c}
-}
-
-func (s *concurrentService) Ingest(ctx context.Context, edges []Edge) error {
-	for i, e := range edges {
-		if i%ingestCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		s.c.Process(e)
-	}
-	return nil
-}
-
-func (s *concurrentService) Similarity(ctx context.Context, u, v User) (Estimate, error) {
-	if err := ctx.Err(); err != nil {
-		return Estimate{}, err
-	}
-	return s.c.Query(u, v), nil
-}
-
-func (s *concurrentService) TopK(ctx context.Context, u User, candidates []User, n int) ([]TopKResult, error) {
-	return s.c.TopKContext(ctx, u, candidates, n)
-}
-
-func (s *concurrentService) Cardinality(ctx context.Context, u User) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return s.c.Cardinality(u), nil
-}
-
-func (s *concurrentService) Stats(ctx context.Context) (Stats, error) {
-	if err := ctx.Err(); err != nil {
-		return Stats{}, err
-	}
-	return s.c.Stats(), nil
 }

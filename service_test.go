@@ -14,111 +14,86 @@ func serviceSketchConfig() vos.Config {
 	return vos.Config{MemoryBits: 1 << 18, SketchBits: 512, Seed: 7}
 }
 
-// TestServiceAdaptersAgree: the three in-process adapters answer the same
-// stream identically — the interface is a veneer, not a third estimator.
+// TestServiceAdaptersAgree: the engine service answers a stream exactly
+// as a plain Sketch that consumed it does, at one shard and at several —
+// the interface is a veneer, not a second estimator.
 func TestServiceAdaptersAgree(t *testing.T) {
 	ctx := context.Background()
 	edges := engineTestStream(8_000, 60, 0.25, 21)
 
-	eng := vos.MustNewEngine(vos.EngineConfig{Sketch: serviceSketchConfig(), Shards: 2})
-	defer eng.Close()
-	cs, err := vos.NewConcurrent(serviceSketchConfig())
-	if err != nil {
-		t.Fatal(err)
+	ref := vos.MustNew(serviceSketchConfig())
+	for _, e := range edges {
+		ref.Process(e)
 	}
-	services := map[string]vos.SimilarityService{
-		"engine":     vos.NewEngineService(eng),
-		"sketch":     vos.NewSketchService(vos.MustNew(serviceSketchConfig())),
-		"concurrent": vos.NewConcurrentService(cs),
-	}
-	for name, svc := range services {
-		if err := svc.Ingest(ctx, edges); err != nil {
-			t.Fatalf("%s: Ingest: %v", name, err)
-		}
-	}
-
-	ref := services["sketch"]
 	candidates := make([]vos.User, 50)
 	for i := range candidates {
 		candidates[i] = vos.User(i)
 	}
-	wantTop, err := ref.TopK(ctx, 1, candidates, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, svc := range services {
+	wantTop := ref.TopK(1, candidates, 5)
+
+	for _, shards := range []int{1, 2} {
+		eng := vos.MustNewEngine(vos.EngineConfig{Sketch: serviceSketchConfig(), Shards: shards})
+		defer eng.Close()
+		svc := vos.NewEngineService(eng)
+		if err := svc.Ingest(ctx, edges); err != nil {
+			t.Fatalf("shards=%d: Ingest: %v", shards, err)
+		}
 		for u := vos.User(0); u < 20; u++ {
 			got, err := svc.Similarity(ctx, u, u+3)
 			if err != nil {
-				t.Fatalf("%s: Similarity: %v", name, err)
+				t.Fatalf("shards=%d: Similarity: %v", shards, err)
 			}
-			want, err := ref.Similarity(ctx, u, u+3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("%s: Similarity(%d,%d) = %+v, reference %+v", name, u, u+3, got, want)
+			if want := ref.Query(u, u+3); got != want {
+				t.Fatalf("shards=%d: Similarity(%d,%d) = %+v, reference %+v", shards, u, u+3, got, want)
 			}
 			gotCard, err := svc.Cardinality(ctx, u)
 			if err != nil {
-				t.Fatalf("%s: Cardinality: %v", name, err)
+				t.Fatalf("shards=%d: Cardinality: %v", shards, err)
 			}
-			wantCard, _ := ref.Cardinality(ctx, u)
-			if gotCard != wantCard {
-				t.Fatalf("%s: Cardinality(%d) = %d, want %d", name, u, gotCard, wantCard)
+			if want := ref.Cardinality(u); gotCard != want {
+				t.Fatalf("shards=%d: Cardinality(%d) = %d, want %d", shards, u, gotCard, want)
 			}
 		}
 		gotTop, err := svc.TopK(ctx, 1, candidates, 5)
 		if err != nil {
-			t.Fatalf("%s: TopK: %v", name, err)
+			t.Fatalf("shards=%d: TopK: %v", shards, err)
 		}
 		if !reflect.DeepEqual(gotTop, wantTop) {
-			t.Fatalf("%s: TopK = %+v, want %+v", name, gotTop, wantTop)
+			t.Fatalf("shards=%d: TopK = %+v, want %+v", shards, gotTop, wantTop)
 		}
 		gotStats, err := svc.Stats(ctx)
 		if err != nil {
-			t.Fatalf("%s: Stats: %v", name, err)
+			t.Fatalf("shards=%d: Stats: %v", shards, err)
 		}
-		wantStats, _ := ref.Stats(ctx)
-		if gotStats != wantStats {
-			t.Fatalf("%s: Stats = %+v, want %+v", name, gotStats, wantStats)
+		if want := ref.Stats(); gotStats != want {
+			t.Fatalf("shards=%d: Stats = %+v, want %+v", shards, gotStats, want)
 		}
 	}
 }
 
-// TestServicePreCancelledContext: every method of every adapter refuses an
-// already-cancelled context with ctx.Err().
+// TestServicePreCancelledContext: every method of the engine service
+// refuses an already-cancelled context with ctx.Err().
 func TestServicePreCancelledContext(t *testing.T) {
 	eng := vos.MustNewEngine(vos.EngineConfig{Sketch: serviceSketchConfig(), Shards: 2})
 	defer eng.Close()
-	cs, err := vos.NewConcurrent(serviceSketchConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	services := map[string]vos.SimilarityService{
-		"engine":     vos.NewEngineService(eng),
-		"sketch":     vos.NewSketchService(vos.MustNew(serviceSketchConfig())),
-		"concurrent": vos.NewConcurrentService(cs),
-	}
+	svc := vos.NewEngineService(eng)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	edges := []vos.Edge{{User: 1, Item: 2, Op: vos.Insert}}
-	for name, svc := range services {
-		if err := svc.Ingest(ctx, edges); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: Ingest on cancelled ctx: %v", name, err)
-		}
-		if _, err := svc.Similarity(ctx, 1, 2); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: Similarity on cancelled ctx: %v", name, err)
-		}
-		if _, err := svc.TopK(ctx, 1, []vos.User{2, 3}, 1); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: TopK on cancelled ctx: %v", name, err)
-		}
-		if _, err := svc.Cardinality(ctx, 1); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: Cardinality on cancelled ctx: %v", name, err)
-		}
-		if _, err := svc.Stats(ctx); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: Stats on cancelled ctx: %v", name, err)
-		}
+	if err := svc.Ingest(ctx, edges); !errors.Is(err, context.Canceled) {
+		t.Errorf("Ingest on cancelled ctx: %v", err)
+	}
+	if _, err := svc.Similarity(ctx, 1, 2); !errors.Is(err, context.Canceled) {
+		t.Errorf("Similarity on cancelled ctx: %v", err)
+	}
+	if _, err := svc.TopK(ctx, 1, []vos.User{2, 3}, 1); !errors.Is(err, context.Canceled) {
+		t.Errorf("TopK on cancelled ctx: %v", err)
+	}
+	if _, err := svc.Cardinality(ctx, 1); !errors.Is(err, context.Canceled) {
+		t.Errorf("Cardinality on cancelled ctx: %v", err)
+	}
+	if _, err := svc.Stats(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("Stats on cancelled ctx: %v", err)
 	}
 }
 
@@ -200,41 +175,5 @@ func TestEngineServiceClosed(t *testing.T) {
 	// ErrClosed and the legacy ErrEngineClosed are the same sentinel.
 	if !errors.Is(vos.ErrClosed, vos.ErrEngineClosed) {
 		t.Fatal("ErrClosed and ErrEngineClosed diverged")
-	}
-}
-
-// TestQueryLocalTypedErrors pins the root-level view of the satellite fix:
-// cross-shard pairs and recovered engines answer with sentinels, not
-// silent zero estimates.
-func TestQueryLocalTypedErrors(t *testing.T) {
-	eng := vos.MustNewEngine(vos.EngineConfig{Sketch: serviceSketchConfig(), Shards: 4})
-	defer eng.Close()
-	u := vos.User(1)
-	w := u + 1
-	for eng.ShardOf(w) == eng.ShardOf(u) {
-		w++
-	}
-	if _, err := eng.QueryLocal(u, w); !errors.Is(err, vos.ErrNotCoResident) {
-		t.Fatalf("cross-shard QueryLocal: want ErrNotCoResident, got %v", err)
-	}
-
-	dir := t.TempDir()
-	durable, err := vos.OpenEngine(dir, vos.EngineConfig{Sketch: serviceSketchConfig(), Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := durable.ProcessBatch(engineTestStream(500, 10, 0.2, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := durable.Close(); err != nil { // writes the recovery checkpoint
-		t.Fatal(err)
-	}
-	recovered, err := vos.OpenEngine(dir, vos.EngineConfig{Sketch: serviceSketchConfig(), Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recovered.Close()
-	if _, err := recovered.QueryLocal(1, 2); !errors.Is(err, vos.ErrQueryUnavailable) {
-		t.Fatalf("QueryLocal on recovered engine: want ErrQueryUnavailable, got %v", err)
 	}
 }

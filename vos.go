@@ -27,11 +27,11 @@
 //
 // # Scaling out
 //
-// Sketch is single-threaded. ConcurrentSketch adds a read-write mutex for
-// one writer and many readers. Engine shards the stream across N private
-// sketches with one ingest goroutine each and answers queries from an
-// exactly merged snapshot — because VOS merging is exact for any partition
-// of the stream, sharded ingest costs no accuracy. See examples/sharded.
+// Sketch is single-threaded. Engine is the concurrent form: it shards the
+// stream across N private sketches with one ingest goroutine each and
+// answers queries from an exactly merged snapshot — because VOS merging is
+// exact for any partition of the stream, sharded ingest costs no accuracy.
+// See examples/sharded.
 //
 // # Sliding windows
 //
@@ -44,10 +44,9 @@
 // # Serving
 //
 // SimilarityService is the context-aware serving interface all deployment
-// shapes satisfy: NewSketchService, NewConcurrentService, and
-// NewEngineService adapt the in-process types, package server exposes any
-// SimilarityService over a versioned HTTP API, package client implements
-// it over the wire, and cmd/vosd is the runnable daemon. Optional
+// shapes satisfy: NewEngineService adapts the in-process Engine, package
+// server exposes any SimilarityService over a versioned HTTP API, package
+// client implements it over the wire, and cmd/vosd is the runnable daemon. Optional
 // capabilities (Checkpointer, Windowed) are probed at runtime. See the
 // README's "Serving" section and docs/ARCHITECTURE.md for the layer map.
 //
@@ -92,8 +91,7 @@ type Edge = stream.Edge
 
 // Sketch is the VOS sketch. See the package documentation for the model
 // and core.VOS for implementation details. Not safe for concurrent use;
-// see NewConcurrent for a locked wrapper and NewEngine for sharded,
-// multicore ingestion.
+// see NewEngine for sharded, multicore ingestion.
 type Sketch = core.VOS
 
 // Config parameterises a Sketch: total shared memory m in bits, virtual

@@ -3,7 +3,6 @@ package vos_test
 import (
 	"bytes"
 	"math"
-	"sync"
 	"testing"
 
 	"github.com/vossketch/vos"
@@ -112,72 +111,6 @@ func TestSerializationFacade(t *testing.T) {
 	}
 }
 
-func TestConcurrentSketch(t *testing.T) {
-	c, err := vos.NewConcurrent(vos.Config{MemoryBits: 1 << 16, SketchBits: 512, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				c.Process(vos.Edge{
-					User: vos.User(w),
-					Item: vos.Item(w*1000 + i),
-					Op:   vos.Insert,
-				})
-			}
-		}(w)
-	}
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				_ = c.Query(0, 1)
-				_ = c.Beta()
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Cardinality(0) != 500 {
-		t.Errorf("cardinality %d after concurrent writes", c.Cardinality(0))
-	}
-	snap, err := c.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := vos.Unmarshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Cardinality(3) != 500 {
-		t.Error("snapshot lost state")
-	}
-}
-
-func TestConcurrentMergeShards(t *testing.T) {
-	cfg := vos.Config{MemoryBits: 1 << 14, SketchBits: 256, Seed: 7}
-	main, err := vos.NewConcurrent(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shard := vos.MustNew(cfg)
-	shard.Process(vos.Edge{User: 1, Item: 2, Op: vos.Insert})
-	if err := main.Merge(shard); err != nil {
-		t.Fatal(err)
-	}
-	if main.Cardinality(1) != 1 {
-		t.Error("merge lost state")
-	}
-	bad := vos.MustNew(vos.Config{MemoryBits: 1 << 14, SketchBits: 128, Seed: 7})
-	if err := main.Merge(bad); err == nil {
-		t.Error("mismatched merge accepted")
-	}
-}
-
 func TestStreamIOFacade(t *testing.T) {
 	edges := []vos.Edge{
 		{User: 1, Item: 2, Op: vos.Insert},
@@ -209,36 +142,5 @@ func TestPaperConfigFacade(t *testing.T) {
 	cfg := vos.PaperConfig(1000, 100, 2, 5)
 	if cfg.MemoryBits != 32*100*1000 || cfg.SketchBits != 6400 {
 		t.Errorf("PaperConfig = %+v", cfg)
-	}
-}
-
-func TestNeighborSketchFacade(t *testing.T) {
-	sk, err := vos.NewNeighborSketch(vos.Config{MemoryBits: 1 << 18, SketchBits: 1024, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Users 1 and 2 both befriend users 10-29; then 1 unfriends half.
-	for v := vos.User(10); v < 30; v++ {
-		sk.MustProcess(vos.GraphEdge{U: 1, V: v, Op: vos.Insert})
-		sk.MustProcess(vos.GraphEdge{U: 2, V: v, Op: vos.Insert})
-	}
-	for v := vos.User(10); v < 20; v++ {
-		sk.MustProcess(vos.GraphEdge{U: 1, V: v, Op: vos.Delete})
-	}
-	if sk.Degree(1) != 10 || sk.Degree(2) != 20 {
-		t.Errorf("degrees %d/%d", sk.Degree(1), sk.Degree(2))
-	}
-	est := sk.Query(1, 2)
-	// True common neighbors: 10 (IDs 20-29). Tolerate sketch noise.
-	if est.Common < 2 || est.Common > 18 {
-		t.Errorf("common neighbors ≈ %.1f, want ~10", est.Common)
-	}
-	dir, err := vos.NewDirectedNeighborSketch(vos.Config{MemoryBits: 4096, SketchBits: 128, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir.MustProcess(vos.GraphEdge{U: 5, V: 6, Op: vos.Insert})
-	if dir.Degree(6) != 0 {
-		t.Error("directed sketch should not add reverse edge")
 	}
 }
