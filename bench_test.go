@@ -651,3 +651,68 @@ func BenchmarkClientTopK(b *testing.B) {
 		topKSink = top
 	}
 }
+
+// queryAfterWritePreloadCache memoises BenchmarkQueryAfterWrite's preload.
+var queryAfterWritePreloadCache []vos.Edge
+
+// queryAfterWritePreload is a ~500k-edge YouTube-shaped insert+delete
+// stream over 40k users, the graph BenchmarkQueryAfterWrite reads from.
+func queryAfterWritePreload(b *testing.B) []vos.Edge {
+	b.Helper()
+	if queryAfterWritePreloadCache == nil {
+		p := gen.YouTube
+		p.Users, p.Items, p.Edges = 40_000, 200_000, 500_000
+		base := gen.Bipartite(p, 1)
+		queryAfterWritePreloadCache = gen.Dynamize(base, gen.PaperDynamize(len(base), 2))
+	}
+	return queryAfterWritePreloadCache
+}
+
+// BenchmarkQueryAfterWrite measures a pair query right after a small
+// write, the interleaved read/write path, at the paper-scale
+// configuration (m = 2^24, k = 6400) over a ~500k-edge preload. Each
+// iteration applies one 64-edge ProcessBatch, Flushes it, and queries a
+// pair of the users it wrote. The writes cycle S then S⁻¹ (256 batches of
+// fresh items inserted, then deleted again) so the sketch's load does not
+// drift however long the run. The sub-benchmarks at 1, 2 and 4 shards
+// show how the cost scales with the shard count.
+func BenchmarkQueryAfterWrite(b *testing.B) {
+	preload := queryAfterWritePreload(b)
+	const batch, cycle = 64, 256
+	inserts := make([][]vos.Edge, cycle)
+	deletes := make([][]vos.Edge, cycle)
+	for j := range inserts {
+		ins := make([]vos.Edge, batch)
+		del := make([]vos.Edge, batch)
+		for i := range ins {
+			n := j*batch + i
+			u := preload[n*97%len(preload)].User
+			ins[i] = vos.Edge{User: u, Item: vos.Item(1<<40 + n), Op: vos.Insert}
+			del[i] = vos.Edge{User: u, Item: vos.Item(1<<40 + n), Op: vos.Delete}
+		}
+		inserts[j], deletes[j] = ins, del
+	}
+	for _, shards := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			eng := vos.MustNewEngine(vos.EngineConfig{Sketch: ingestConfig(), Shards: shards})
+			defer eng.Close()
+			if err := eng.ProcessBatch(preload); err != nil {
+				b.Fatal(err)
+			}
+			eng.Flush()
+			eng.Query(0, 1) // settle the read path on the preloaded state
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w := inserts[i%cycle]
+				if (i/cycle)%2 == 1 {
+					w = deletes[i%cycle]
+				}
+				if err := eng.ProcessBatch(w); err != nil {
+					b.Fatal(err)
+				}
+				eng.Flush()
+				estimateSink = eng.Query(w[0].User, w[1].User)
+			}
+		})
+	}
+}

@@ -9,7 +9,8 @@ import (
 
 // Engine is the sharded, pipelined ingestion engine: N independent Sketch
 // shards with identical Config, one ingest goroutine per shard fed by
-// buffered batch channels, and an exact merged-snapshot query path.
+// buffered batch channels, and an exact merged read view that each read
+// after a write refreshes in O(churn).
 //
 // Use it when ingest throughput must scale past one core. Because VOS
 // merging is exact for any partition of the stream, a K-shard Engine
@@ -27,12 +28,11 @@ import (
 type Engine = engine.Engine
 
 // EngineConfig parameterises an Engine: the per-shard sketch Config plus
-// shard count, batch size, queue capacity, linger interval, the query
-// snapshot staleness budget, and the position-cache size. Zero values
-// select defaults (Shards = GOMAXPROCS, BatchSize = 256, QueueSize = 8192
-// edges, FlushInterval = 50ms, SnapshotMaxLag = 0 i.e. exact queries,
+// shard count, batch size, queue capacity, linger interval, and the
+// position-cache size. Zero values select defaults (Shards = GOMAXPROCS,
+// BatchSize = 256, QueueSize = 8192 edges, FlushInterval = 50ms,
 // PositionCacheUsers = 512; set PositionCacheUsers negative to disable
-// position caching). Setting Window puts the engine in sliding-window
+// position caching). Queries are always exact over the applied edges. Setting Window puts the engine in sliding-window
 // mode (see WindowConfig); setting Durability makes it durable (see
 // DurabilityConfig) — the two compose.
 type EngineConfig = engine.Config

@@ -144,6 +144,22 @@ func (b *Bitset) Xor(o *Bitset) {
 	b.ones = ones
 }
 
+// Word returns word w: bits 64w … 64w+63, least-significant first.
+func (b *Bitset) Word(w int) uint64 { return b.words[w] }
+
+// SetWord overwrites word w with x, keeping the ones count exact — the
+// word-level write for keeping a derived array equal to the XOR of others
+// one changed word at a time. Bits of x past Len() must be zero.
+func (b *Bitset) SetWord(w int, x uint64) {
+	if w == len(b.words)-1 {
+		if tail := b.n & 63; tail != 0 && x>>tail != 0 {
+			panic("bitset: SetWord sets bits beyond length")
+		}
+	}
+	b.ones += uint64(bits.OnesCount64(x)) - uint64(bits.OnesCount64(b.words[w]))
+	b.words[w] = x
+}
+
 // XorCount returns the number of positions where b and o differ (the
 // popcount of b XOR o) without materialising the XOR. Both bitsets must have
 // the same length.

@@ -371,3 +371,34 @@ func TestGatherOutOfRangePanics(t *testing.T) {
 	}()
 	b.Gather([]uint64{0, 100})
 }
+
+// TestSetWordKeepsCount: word-level writes keep the maintained ones count
+// exact, and a word with bits past Len is refused.
+func TestSetWordKeepsCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	b := New(200) // 4 words, the last holding 8 valid bits
+	for i := 0; i < 100; i++ {
+		w := rng.Intn(4)
+		x := rng.Uint64()
+		if w == 3 {
+			x &= 0xff
+		}
+		b.SetWord(w, x)
+		if b.Word(w) != x {
+			t.Fatalf("Word(%d) = %#x after SetWord %#x", w, b.Word(w), x)
+		}
+		naive := uint64(0)
+		for j := uint64(0); j < b.Len(); j++ {
+			naive += b.GetBit(j)
+		}
+		if b.Count() != naive {
+			t.Fatalf("count %d, naive %d", b.Count(), naive)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetWord accepted bits beyond the length")
+		}
+	}()
+	b.SetWord(3, 1<<8)
+}

@@ -93,7 +93,7 @@ func (c Config) validate() error {
 // mutex or shard by stream partition and Merge (see Merge). Read-only
 // methods (Query, QueryMany, TopK, Recover*, Cardinality, Beta, Stats) may
 // run concurrently with each other on a quiescent sketch — the engine's
-// merged snapshots and the parallel top-K path rely on this.
+// merged read view and the parallel top-K path rely on this.
 type VOS struct {
 	cfg Config
 	arr *bitset.Bitset
@@ -132,6 +132,10 @@ type VOS struct {
 	// cache entries; it is not serialized and restarts from zero on load,
 	// which is safe because a loaded sketch starts with an empty cache.
 	version uint64
+
+	// dirty, when attached (TrackDirty), records the words and users the
+	// per-edge write paths touch (see dirty.go). nil on plain sketches.
+	dirty *Dirty
 }
 
 // defaultRecoveredCacheEntries bounds the recovered-sketch cache a new
@@ -213,7 +217,7 @@ func (v *VOS) MemoryBits() uint64 { return v.cfg.MemoryBits }
 // path (nil detaches). Position tables depend only on the user key and the
 // sketch's Seed/MemoryBits/SketchBits, so one cache may be shared across
 // sketches with identical Config — the engine shares a single cache
-// between its shards and every merged snapshot. Sharing across different
+// between its shards and its merged read view. Sharing across different
 // configs returns wrong positions; don't.
 func (v *VOS) SetPositionCache(c *poscache.Cache) { v.pos = c }
 
@@ -280,10 +284,15 @@ func (v *VOS) fillPositions(dst []uint64, u stream.User) {
 func (v *VOS) Process(e stream.Edge) {
 	v.version++ // invalidates every cached recovered sketch
 	j := v.slot(e.Item)
+	var p uint64
 	if v.fslots != nil {
-		v.arr.Flip(hashing.PositionFromState(v.fastState(uint64(e.User)), j, v.cfg.MemoryBits))
+		p = hashing.PositionFromState(v.fastState(uint64(e.User)), j, v.cfg.MemoryBits)
 	} else {
-		v.arr.Flip(v.position(e.User, j))
+		p = v.position(e.User, j)
+	}
+	v.arr.Flip(p)
+	if v.dirty != nil {
+		v.dirty.mark(p, e.User)
 	}
 	v.bump(e.User, opDelta(e.Op))
 }
@@ -297,6 +306,10 @@ func (v *VOS) ProcessBatch(edges []stream.Edge) {
 		return
 	}
 	v.version++ // one write event: invalidates every cached recovered sketch
+	if v.dirty != nil {
+		v.processBatchTracked(edges)
+		return
+	}
 	if v.fslots != nil {
 		for _, e := range edges {
 			j := v.slot(e.Item)
@@ -308,6 +321,24 @@ func (v *VOS) ProcessBatch(edges []stream.Edge) {
 	for _, e := range edges {
 		j := v.slot(e.Item)
 		v.arr.Flip(v.slots.HashRange(j, uint64(e.User), v.cfg.MemoryBits))
+		v.bump(e.User, opDelta(e.Op))
+	}
+}
+
+// processBatchTracked is ProcessBatch's loop on a sketch with a Dirty
+// attached: the same transition, recording each flip as it lands.
+func (v *VOS) processBatchTracked(edges []stream.Edge) {
+	d := v.dirty
+	for _, e := range edges {
+		j := v.slot(e.Item)
+		var p uint64
+		if v.fslots != nil {
+			p = hashing.PositionFromState(v.fastState(uint64(e.User)), j, v.cfg.MemoryBits)
+		} else {
+			p = v.slots.HashRange(j, uint64(e.User), v.cfg.MemoryBits)
+		}
+		v.arr.Flip(p)
+		d.mark(p, e.User)
 		v.bump(e.User, opDelta(e.Op))
 	}
 }
@@ -344,8 +375,8 @@ func (v *VOS) Cardinality(u stream.User) int64 { return v.card[u] }
 // ForEachUser calls fn for every user with live sketch state (a nonzero
 // cardinality counter — zero counters are pruned on every write) in
 // unspecified order, stopping early when fn returns false. fn must not
-// write the sketch. The engine's approximate top-K index enumerates a
-// merged snapshot through this to seed its initial build.
+// write the sketch. The engine's approximate top-K index enumerates the
+// merged read view through this to seed its initial build.
 func (v *VOS) ForEachUser(fn func(u stream.User, card int64) bool) {
 	for u, c := range v.card {
 		if !fn(u, c) {

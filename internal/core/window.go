@@ -148,6 +148,9 @@ func (w *Window) Process(e stream.Edge) {
 	d := opDelta(e.Op)
 	m.version++ // invalidates cached recovered sketches on the live view
 	m.arr.Flip(p)
+	if m.dirty != nil {
+		m.dirty.mark(p, e.User)
+	}
 	m.bump(e.User, d)
 	b.version++
 	b.arr.Flip(p)
@@ -165,6 +168,21 @@ func (w *Window) ProcessBatch(edges []stream.Edge) {
 	m, b := w.merged, w.buckets[w.cur]
 	m.version++ // one write event: invalidates cached recovered sketches
 	b.version++
+	if dirty := m.dirty; dirty != nil {
+		// The merged view is tracked (an engine shard): the same loop,
+		// recording each flip. The nil check stays out of the edge loop.
+		for _, e := range edges {
+			j := m.slot(e.Item)
+			p := m.position(e.User, j)
+			d := opDelta(e.Op)
+			m.arr.Flip(p)
+			m.bump(e.User, d)
+			dirty.mark(p, e.User)
+			b.arr.Flip(p)
+			b.bump(e.User, d)
+		}
+		return
+	}
 	for _, e := range edges {
 		j := m.slot(e.Item)
 		p := m.position(e.User, j)

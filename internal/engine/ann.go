@@ -19,22 +19,22 @@ import (
 // O(users) per query however warm the caches are).
 //
 // The index is a lsh.BandIndex keyed on bit-bands of the packed sketches
-// core.VOS.RecoverSketch produces from the merged snapshot. Maintenance is
-// lazy and piggybacks on the same write-versioning the recovered-sketch
-// cache uses: shard workers record which users they wrote (inside the same
-// skMu critical section that advances the shard's processed stamp, so a
-// post-Flush probe always observes the full dirty set), and each probe
-// re-bands up to ANNConfig.RebandBudget of those users against the current
-// snapshot before answering — stale entries are re-banded on the next
-// probe, and a full rebuild (after a window rotation, which changes every
-// recovered sketch at once) amortises across queries instead of stalling
-// one of them.
+// core.VOS.RecoverSketch produces from the merged view. Maintenance is
+// lazy: shard workers record which users they wrote (inside the same
+// skMu critical section that advances the shard's processed stamp), each
+// view refresh forwards those users to the index's pending set (so a
+// post-Flush probe, whose read refreshes the view, always observes the
+// full dirty set — see view.go), and each probe re-bands up to
+// ANNConfig.RebandBudget of them against the current view before
+// answering — stale entries are re-banded on the next probe, and a full
+// rebuild (after a window rotation, which changes every recovered sketch
+// at once) amortises across queries instead of stalling one of them.
 //
 // The correctness contract is deliberately asymmetric: band membership may
 // lag the stream (that only costs recall — a recently rewritten user might
 // not collide until re-banded), but everything the probe REPORTS is
-// computed live from the current merged snapshot. Candidates are scored
-// with the exact estimator against the snapshot, and zero-cardinality
+// computed live from the current merged view. Candidates are scored
+// with the exact estimator against the view, and zero-cardinality
 // users are filtered out, so a stale index entry can never surface a
 // deleted user or a stale similarity — pinned by the ann_test.go
 // invalidation tests, and the reason TopKApprox results are always a
@@ -103,15 +103,15 @@ type ANNStats struct {
 	Probes    uint64
 	Rotations uint64
 	// ProbeReuses counts probes answered from the last probe's recovered
-	// sketch and candidate set (same user, same snapshot, no index change
-	// in between) — the repeated-probe fast path.
+	// sketch and candidate set (same user, same view state, no index
+	// change in between) — the repeated-probe fast path.
 	ProbeReuses uint64
 }
 
 // annIndex is the engine's ANN state: the band index plus the lazy
 // invalidation bookkeeping. mu serialises maintenance and probing (the
 // BandIndex compacts buckets in place during probes); candidate scoring
-// happens outside mu on the immutable snapshot.
+// happens outside mu, under the view's read lock.
 type annIndex struct {
 	mu    sync.Mutex
 	cfg   ANNConfig
@@ -130,15 +130,14 @@ type annIndex struct {
 	// and re-recovering the probe's packed sketch plus re-walking its band
 	// buckets per call is pure waste. The last probe's recovered sketch and
 	// candidate set are kept and served again while all three freshness
-	// coordinates hold: same user, same merged snapshot (pointer identity —
-	// snapshots are immutable once merged, and holding lastSnap keeps its
-	// address from being recycled), and same index-mutation stamp (the
-	// monotone sum rebands+removals+rotations: any Put, Remove, or
-	// rotation invalidation advances it, so a probe never reuses across an
-	// index change). lastCands is read-only once cached — the liveness
+	// coordinates hold: same user, same view state (the view's refresh
+	// count — the view changes only in a refresh), and same index-mutation
+	// stamp (the monotone sum rebands+removals+rotations: any Put, Remove,
+	// or rotation invalidation advances it, so a probe never reuses across
+	// an index change). lastCands is read-only once cached — the liveness
 	// filter copies instead of compacting in place.
 	lastUser  stream.User
-	lastSnap  *core.VOS
+	lastView  uint64
 	lastStamp uint64
 	lastRec   *core.Recovered
 	lastCands []stream.User
@@ -167,6 +166,10 @@ func (e *Engine) ANNStats() (st ANNStats, ok bool) {
 	if a == nil {
 		return ANNStats{}, false
 	}
+	// Users written since the last view refresh are backlog too: bring
+	// the view current, which forwards them to the index.
+	e.readView()
+	e.viewMu.RUnlock()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	st = ANNStats{
@@ -179,19 +182,13 @@ func (e *Engine) ANNStats() (st ANNStats, ok bool) {
 		Rotations:    a.rotations,
 		ProbeReuses:  a.reuses,
 	}
-	// The per-shard dirty sets not yet stolen by a probe are backlog too.
-	for _, s := range e.shards {
-		s.annMu.Lock()
-		st.DirtyBacklog += len(s.annDirty)
-		s.annMu.Unlock()
-	}
 	return st, true
 }
 
 // TopKApprox returns up to n users similar to u, best first, probing only
 // the band index's colliding buckets instead of scanning all users. The
 // result is approximate only in WHICH users are considered: every returned
-// estimate is computed exactly from the current merged snapshot and ranked
+// estimate is computed exactly from the current merged view and ranked
 // with the same total order as TopK (core.RankBefore), so the result is a
 // subset-ordered prefix of what the exact scan would return over the
 // candidate set. Returns ErrNoANN on an engine built without Config.ANN.
@@ -218,34 +215,36 @@ func (e *Engine) TopKApproxContext(ctx context.Context, u stream.User, n int) ([
 	return e.topKApprox(ctx, u, n)
 }
 
-// topKApprox is the shared body: snapshot, maintain, probe, score.
+// topKApprox is the shared body: refresh, maintain, probe, score.
 func (e *Engine) topKApprox(ctx context.Context, u stream.User, n int) ([]core.TopKResult, error) {
 	a := e.ann
 	if a == nil {
 		return nil, ErrNoANN
 	}
 	e.maybeAdvance()
-	// Read the rotation stamp before merging: if a rotation lands between
-	// the two, the index is reconciled against the older stamp and the
-	// next probe re-marks it — conservative, never the reverse.
+	// Read the rotation stamp before refreshing: if a rotation lands
+	// between the two, the index is reconciled against the older stamp and
+	// the next probe re-marks it — conservative, never the reverse.
 	rot := e.winRot.Load()
-	snap := e.snapshot()
+	view := e.readView()
+	defer e.viewMu.RUnlock()
+	gen := e.viewStats.refreshes
 
 	a.mu.Lock()
-	if err := e.annMaintain(a, snap, rot); err != nil {
+	if err := e.annMaintain(a, view, rot); err != nil {
 		a.mu.Unlock()
 		return nil, err
 	}
 	stamp := a.rebands + a.removals + a.rotations
 	var r *core.Recovered
 	var cands []stream.User
-	if a.haveLast && a.lastUser == u && a.lastSnap == snap && a.lastStamp == stamp {
+	if a.haveLast && a.lastUser == u && a.lastView == gen && a.lastStamp == stamp {
 		// Repeated probe of the same user against unchanged state: serve
 		// the packed recovered sketch and candidate set from the last call.
 		r, cands = a.lastRec, a.lastCands
 		a.reuses++
 	} else {
-		r = snap.RecoverSketch(u)
+		r = view.RecoverSketch(u)
 		var err error
 		cands, err = a.ix.Candidates(u, r.Words())
 		if err != nil {
@@ -253,7 +252,7 @@ func (e *Engine) topKApprox(ctx context.Context, u stream.User, n int) ([]core.T
 			a.mu.Unlock()
 			return nil, err
 		}
-		a.lastUser, a.lastSnap, a.lastStamp = u, snap, stamp
+		a.lastUser, a.lastView, a.lastStamp = u, gen, stamp
 		a.lastRec, a.lastCands = r, cands
 		a.haveLast = true
 	}
@@ -267,33 +266,24 @@ func (e *Engine) topKApprox(ctx context.Context, u stream.User, n int) ([]core.T
 	// the cached slice a later probe will read again.
 	live := make([]stream.User, 0, len(cands))
 	for _, w := range cands {
-		if snap.Cardinality(w) != 0 {
+		if view.Cardinality(w) != 0 {
 			live = append(live, w)
 		}
 	}
-	return e.rankCandidates(ctx, snap, r, live, n)
+	return e.rankCandidates(ctx, view, r, live, n)
 }
 
-// annMaintain reconciles the band index with the snapshot under a.mu:
-// steal the shards' dirty sets, seed the initial build, mark everything
-// stale after a rotation, then re-band up to the budget.
-func (e *Engine) annMaintain(a *annIndex, snap *core.VOS, rot uint64) error {
-	for _, s := range e.shards {
-		s.annMu.Lock()
-		if len(s.annDirty) > 0 {
-			for u := range s.annDirty {
-				a.dirty[u] = struct{}{}
-			}
-			clear(s.annDirty)
-		}
-		s.annMu.Unlock()
-	}
+// annMaintain reconciles the band index with the view under a.mu: seed
+// the initial build, mark everything stale after a rotation, then re-band
+// up to the budget. The users written since the last probe are already in
+// a.dirty: the view refresh forwarded them.
+func (e *Engine) annMaintain(a *annIndex, view *core.VOS, rot uint64) error {
 	budget := a.cfg.RebandBudget
 	if !a.built {
-		// First probe: index every user the snapshot knows. The build is
+		// First probe: index every user the view knows. The build is
 		// deliberately not budgeted — a budgeted first probe would answer
 		// from a sliver of the population.
-		snap.ForEachUser(func(u stream.User, _ int64) bool {
+		view.ForEachUser(func(u stream.User, _ int64) bool {
 			a.dirty[u] = struct{}{}
 			return true
 		})
@@ -320,14 +310,14 @@ func (e *Engine) annMaintain(a *annIndex, snap *core.VOS, rot uint64) error {
 			budget--
 		}
 		delete(a.dirty, u)
-		if snap.Cardinality(u) == 0 {
+		if view.Cardinality(u) == 0 {
 			// All subscriptions cancelled (or retired out of the window):
 			// the user holds no sketch state and must not be banded.
 			a.ix.Remove(u)
 			a.removals++
 			continue
 		}
-		if err := a.ix.Put(u, snap.RecoverSketch(u).Words()); err != nil {
+		if err := a.ix.Put(u, view.RecoverSketch(u).Words()); err != nil {
 			return err // impossible by construction: sized from the same config
 		}
 		a.rebands++

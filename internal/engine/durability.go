@@ -23,8 +23,9 @@ package engine
 //
 // The recovered checkpoint is kept as a frozen base sketch rather than
 // being split back into shards (a merged sketch cannot be un-merged).
-// Query paths merge it in: snapshots start from the base and Cardinality
-// adds the base counter.
+// Query paths merge it in: the merged view includes the base (the engine
+// starts with a full view recompute, see view.go) and Cardinality adds
+// the base counter.
 
 import (
 	"errors"
@@ -160,13 +161,12 @@ func Open(cfg Config) (*Engine, error) {
 				return nil, werr
 			}
 			s.skMu.Lock()
-			s.win = win
-			s.sk = win.Merged()
-			s.sk.SetPositionCache(e.pcache)
+			e.setShardSketch(s, win, win.Merged())
 			s.skMu.Unlock()
 		}
 		e.winEnd.Store(end.UnixNano())
 		e.winBase = winBase
+		e.invalidateView()
 		// Rotation events are not WAL-logged, so the exact bucket each
 		// post-checkpoint edge landed in is unrecoverable. Catch the rings
 		// up to the present BEFORE replay, so the replayed suffix lands in
@@ -242,8 +242,10 @@ func (e *Engine) checkpointLocked() (uint64, error) {
 			return 0, err
 		}
 	} else {
+		view := e.readView()
 		var err error
-		data, err = e.snapshotMaxLag(0).MarshalBinary()
+		data, err = view.MarshalBinary()
+		e.viewMu.RUnlock()
 		if err != nil {
 			return 0, err
 		}

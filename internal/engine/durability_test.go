@@ -334,12 +334,12 @@ func TestCheckpointConcurrentWithProducers(t *testing.T) {
 	assertParity(t, recovered, single, 30)
 }
 
-// TestMarshalBinaryNeverStale pins the flush-then-merge contract: even
-// with a huge SnapshotMaxLag (under which Query may legitimately answer
-// stale), MarshalBinary covers every acknowledged write.
+// TestMarshalBinaryNeverStale pins the flush-then-refresh contract: with
+// a view already built by an earlier read and edges still unflushed,
+// MarshalBinary covers every acknowledged write.
 func TestMarshalBinaryNeverStale(t *testing.T) {
 	cfg := testConfig()
-	e := MustNew(Config{Sketch: cfg, Shards: 2, SnapshotMaxLag: 1 << 62})
+	e := MustNew(Config{Sketch: cfg, Shards: 2})
 	defer e.Close()
 	edges := feasibleStream(2_000, 40, 0.2, 41)
 	half := len(edges) / 2
@@ -348,12 +348,12 @@ func TestMarshalBinaryNeverStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Flush()
-	_ = e.Query(1, 2) // build a snapshot that SnapshotMaxLag will pin stale
+	_ = e.Query(1, 2) // build the view before the second half arrives
 
 	if err := e.ProcessBatch(edges[half:]); err != nil {
 		t.Fatal(err)
 	}
-	// No explicit Flush: MarshalBinary must flush and re-merge itself.
+	// No explicit Flush: MarshalBinary must flush and refresh itself.
 	data, err := e.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)

@@ -17,16 +17,16 @@
 // shard, each shard sees a feasible sub-stream and its cardinality
 // counters are exact.
 //
-// Queries answer from a merged global snapshot rebuilt on demand when the
-// applied-edge count has advanced past Config.SnapshotMaxLag — merging is
-// exact, so a post-Flush Query returns bit-identical estimates to a single
-// Sketch that consumed the whole stream.
+// Queries answer from one merged read view that each read after a write
+// refreshes in O(churn): only the array words and users the shards wrote
+// since the last read are recomputed (see view.go). Merging is exact, so a
+// post-Flush Query returns bit-identical estimates to a single Sketch that
+// consumed the whole stream.
 package engine
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -81,19 +81,12 @@ type Config struct {
 	// Default: 50ms.
 	FlushInterval time.Duration
 
-	// SnapshotMaxLag is the query-path staleness budget, in applied edges:
-	// Query rebuilds the merged global snapshot when more than this many
-	// edges have been applied since the snapshot was taken. 0 (the
-	// default) re-merges whenever anything new has been applied, so every
-	// Query is exact with respect to the applied stream.
-	SnapshotMaxLag uint64
-
 	// PositionCacheUsers bounds the engine's shared position-table cache:
 	// the materialized query path caches each user's k array positions
 	// (valid for the engine's lifetime — they depend only on user and
 	// sketch Config, never on sketch contents), so repeat queries for hot
 	// users skip all hashing. One cache is shared by every shard and
-	// every merged snapshot. Each entry costs Sketch.SketchBits·8 bytes
+	// the merged read view. Each entry costs Sketch.SketchBits·8 bytes
 	// (50 KiB at the paper's k = 6400). 0 selects the default of 512
 	// entries (≈25 MiB at paper scale); negative disables caching.
 	PositionCacheUsers int
@@ -156,11 +149,18 @@ type shard struct {
 	// ch carries full batches to the worker goroutine.
 	ch chan []stream.Edge
 
-	// skMu guards sk (and win): the worker writes under Lock, queries and
-	// merges read under RLock, and window rotation mutates under Lock
-	// (always acquired after the engine's winMu — see window.go).
+	// skMu guards sk, win and dirty: the worker writes under Lock, reads
+	// take RLock, and window rotation and view refreshes take Lock (always
+	// after the engine's winMu — see window.go and view.go).
 	skMu sync.RWMutex
 	sk   *core.VOS
+
+	// dirty records the array words and users the worker has written
+	// since the last view refresh (attached to sk with TrackDirty, so it
+	// fills inside the critical section that advances processed). A
+	// refresh empties it into the view and forwards its users to the ANN
+	// index.
+	dirty *core.Dirty
 
 	// win is the shard's bucket ring in sliding-window mode (nil
 	// otherwise). sk then aliases win.Merged() — the stable live view —
@@ -174,15 +174,6 @@ type shard struct {
 	// holding RLock sees exactly the count reflected in sk.
 	enqueued  atomic.Uint64
 	processed atomic.Uint64
-
-	// annDirty collects users this shard has written since an ANN probe
-	// last stole the set (nil on engines without Config.ANN). The worker
-	// fills it inside the skMu critical section that advances processed,
-	// so any snapshot that includes a write also finds its user dirty.
-	// annMu guards it; lock order is skMu (worker) / ann.mu (probe)
-	// before annMu, and annMu is never held across other locks.
-	annMu    sync.Mutex
-	annDirty map[stream.User]struct{}
 }
 
 // Engine is the sharded ingestion engine. All methods are safe for
@@ -203,19 +194,22 @@ type Engine struct {
 	stop   chan struct{} // stops the linger ticker
 	start  time.Time
 
-	// snapMu guards the merged query snapshot. snap is immutable once
-	// published: rebuilds create a fresh sketch, so callers may keep
-	// reading a superseded snapshot safely.
-	snapMu  sync.Mutex
-	snap    *core.VOS
-	snapAt  []uint64 // per-shard processed counts captured at merge time
-	snapRot uint64   // winRot captured at merge time; rotation forces a rebuild
+	// The merged read view (see view.go). viewMu guards view, pending,
+	// viewApplied and viewStats: readers hold RLock for their whole read,
+	// a refresh holds Lock. viewApplied is the summed processed count the
+	// view covers; viewFull asks the next refresh to recompute everything.
+	viewMu      sync.RWMutex
+	view        *core.VOS
+	pending     *core.Dirty
+	viewApplied uint64
+	viewFull    atomic.Bool
+	viewStats   viewStats
 
 	// pcache is the shared position-table cache (nil when disabled):
 	// position tables depend only on user and sketch Config, so one cache
-	// serves every shard and every merged snapshot for the engine's
-	// lifetime, surviving snapshot rebuilds. It is internally locked, so
-	// sharing it keeps concurrent query paths race-clean.
+	// serves every shard and the view for the engine's lifetime, surviving
+	// refreshes. It is internally locked, so sharing it keeps concurrent
+	// query paths race-clean.
 	pcache *poscache.Cache
 
 	// Durability state (nil/zero on memory-only engines — see
@@ -224,7 +218,7 @@ type Engine struct {
 	// Checkpoint holds Lock, so no batch ever straddles a checkpoint
 	// position. base is the sketch recovered from the newest checkpoint
 	// (plus any ImportSketch merges — see transfer.go): shards hold only
-	// post-checkpoint deltas and query paths merge the base back in. Each
+	// post-checkpoint deltas and the view merges the base back in. Each
 	// published base sketch is immutable; ImportSketch swaps in a freshly
 	// merged one, which is why the pointer is atomic — Cardinality reads
 	// it without any lock.
@@ -234,13 +228,11 @@ type Engine struct {
 
 	// Sliding-window state (zero on unwindowed engines — see window.go).
 	// winMu orders rotation against multi-shard reads: AdvanceWindowTo
-	// holds Lock while it rotates every shard, snapshot and checkpoint
-	// building hold RLock across their whole merge loop, so neither ever
-	// straddles a rotation. Lock order: winMu before any shard's skMu.
-	// winEnd mirrors the shards' current bucket end (unix ns) for the
-	// lock-free has-anything-expired check; winRot counts rotations and
-	// stamps query snapshots, so a rotation invalidates the cached
-	// snapshot without touching snapMu (avoiding a winMu/snapMu cycle).
+	// holds Lock while it rotates every shard, view refreshes and
+	// checkpoint building hold RLock across their whole loop, so neither
+	// ever straddles a rotation. Lock order: winMu before any shard's
+	// skMu. winEnd mirrors the shards' current bucket end (unix ns) for
+	// the lock-free has-anything-expired check; winRot counts rotations.
 	// winBase is the rotating window recovered from a windowed checkpoint
 	// — unlike base it is NOT frozen: its buckets retire in lockstep with
 	// the shards', guarded by winMu.
@@ -271,13 +263,19 @@ func newEngine(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	batches := (cfg.QueueSize + cfg.BatchSize - 1) / cfg.BatchSize
-	e := &Engine{
-		cfg:    cfg,
-		shards: make([]*shard, cfg.Shards),
-		stop:   make(chan struct{}),
-		start:  time.Now(),
-		snapAt: make([]uint64, cfg.Shards),
+	view, err := core.New(cfg.Sketch)
+	if err != nil {
+		return nil, err
 	}
+	e := &Engine{
+		cfg:     cfg,
+		shards:  make([]*shard, cfg.Shards),
+		stop:    make(chan struct{}),
+		start:   time.Now(),
+		view:    view,
+		pending: core.NewDirty(cfg.Sketch),
+	}
+	e.invalidateView() // the first read computes the view in full
 	if cfg.ANN != nil {
 		// Resolve into a private copy so the caller's struct is never
 		// mutated, and validate the band structure against the sketch
@@ -293,6 +291,7 @@ func newEngine(cfg Config) (*Engine, error) {
 	if cfg.PositionCacheUsers > 0 {
 		e.pcache = poscache.New(cfg.PositionCacheUsers)
 	}
+	view.SetPositionCache(e.pcache)
 	// In window mode every shard ring is created from the same instant, so
 	// the epoch-aligned boundaries agree and rotation stays in lockstep.
 	var winStart time.Time
@@ -300,25 +299,20 @@ func newEngine(cfg Config) (*Engine, error) {
 		winStart = e.winNow()
 	}
 	for i := range e.shards {
-		s := &shard{ch: make(chan []stream.Edge, batches)}
-		if e.ann != nil {
-			s.annDirty = make(map[stream.User]struct{})
-		}
+		s := &shard{ch: make(chan []stream.Edge, batches), dirty: core.NewDirty(cfg.Sketch)}
 		if cfg.Window != nil {
 			win, err := core.NewWindow(cfg.Sketch, cfg.Window.Buckets, cfg.Window.BucketDuration, winStart)
 			if err != nil {
 				return nil, err
 			}
-			s.win = win
-			s.sk = win.Merged()
+			e.setShardSketch(s, win, win.Merged())
 		} else {
 			sk, err := core.New(cfg.Sketch)
 			if err != nil {
 				return nil, err
 			}
-			s.sk = sk
+			e.setShardSketch(s, nil, sk)
 		}
-		s.sk.SetPositionCache(e.pcache) // shared: positions are config-pure
 		e.shards[i] = s
 		e.wg.Add(1)
 		go e.worker(s)
@@ -331,6 +325,16 @@ func newEngine(cfg Config) (*Engine, error) {
 		go e.linger()
 	}
 	return e, nil
+}
+
+// setShardSketch installs a shard's sketch (and, in window mode, the ring
+// whose merged view it is), attaching the shared position cache and the
+// shard's dirty record. Callers that replace a live shard's sketch hold
+// its skMu and invalidate the view.
+func (e *Engine) setShardSketch(s *shard, win *core.Window, sk *core.VOS) {
+	s.win, s.sk = win, sk
+	sk.SetPositionCache(e.pcache) // shared: positions are config-pure
+	sk.TrackDirty(s.dirty)
 }
 
 // MustNew is New for static configurations; it panics on error.
@@ -367,17 +371,7 @@ func (e *Engine) worker(s *shard) {
 		if s.win != nil {
 			s.win.ProcessBatch(batch) // current bucket + live merged view
 		} else {
-			s.sk.ProcessBatch(batch)
-		}
-		if s.annDirty != nil {
-			// Record the written users before the processed counter (and
-			// skMu) publishes this batch: any snapshot that can see these
-			// edges finds their users in a dirty set — see ann.go.
-			s.annMu.Lock()
-			for _, ed := range batch {
-				s.annDirty[ed.User] = struct{}{}
-			}
-			s.annMu.Unlock()
+			s.sk.ProcessBatch(batch) // records into s.dirty as it applies
 		}
 		s.processed.Add(uint64(len(batch)))
 		s.skMu.Unlock()
@@ -602,98 +596,36 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// snapshot returns the merged global sketch, rebuilding it when more than
-// SnapshotMaxLag edges have been applied since the last merge. The
-// returned sketch is never mutated after publication.
-func (e *Engine) snapshot() *core.VOS {
-	return e.snapshotMaxLag(e.cfg.SnapshotMaxLag)
-}
-
-// snapshotMaxLag is snapshot with an explicit staleness budget; budget 0
-// demands exactness over every applied edge, which Checkpoint and
-// MarshalBinary use to override a relaxed Config.SnapshotMaxLag.
-func (e *Engine) snapshotMaxLag(maxLag uint64) *core.VOS {
-	e.snapMu.Lock()
-	defer e.snapMu.Unlock()
-	rot := e.winRot.Load()
-	if e.snap != nil && e.snapRot == rot {
-		// A rotation changes shard state without advancing any processed
-		// counter, so the rotation stamp must match before the lag check
-		// can vouch for the cached snapshot.
-		lag := uint64(0)
-		for i, s := range e.shards {
-			lag += s.processed.Load() - e.snapAt[i]
-		}
-		if lag <= maxLag {
-			return e.snap
-		}
-	}
-	// In window mode, hold the window read-lock across the whole merge
-	// loop so the snapshot never observes shard A pre-rotation and shard B
-	// post-rotation (winMu before skMu — see window.go).
-	if e.cfg.Window != nil {
-		e.winMu.RLock()
-		defer e.winMu.RUnlock()
-		rot = e.winRot.Load() // re-read now that rotation is excluded
-	}
-	merged := core.MustNew(e.cfg.Sketch)
-	merged.SetPositionCache(e.pcache) // tables survive snapshot rebuilds
-	if base := e.base.Load(); base != nil {
-		// The recovered checkpoint (possibly extended by ImportSketch);
-		// immutable once published, identical config by Open's and
-		// ImportSketch's validation, so the merge cannot fail.
-		if err := merged.Merge(base); err != nil {
-			panic(fmt.Sprintf("engine: base merge failed: %v", err))
-		}
-	}
-	if e.winBase != nil {
-		// The recovered window base rotates under winMu, which we hold.
-		if err := merged.Merge(e.winBase.Merged()); err != nil {
-			panic(fmt.Sprintf("engine: window base merge failed: %v", err))
-		}
-	}
-	for i, s := range e.shards {
-		s.skMu.RLock()
-		e.snapAt[i] = s.processed.Load()
-		err := merged.Merge(s.sk)
-		s.skMu.RUnlock()
-		if err != nil {
-			// Impossible: every shard shares e.cfg.Sketch by construction.
-			panic(fmt.Sprintf("engine: shard merge failed: %v", err))
-		}
-	}
-	e.snap = merged
-	e.snapRot = rot
-	return merged
-}
-
-// Query estimates the similarity of users u and v from the merged global
-// snapshot. With the default SnapshotMaxLag of 0, the answer is exact for
-// every applied edge; call Flush first for read-your-writes over edges
-// still in flight. A post-Flush Query is bit-identical to a single
-// vos.Sketch that consumed the whole stream with the same Config.
+// Query estimates the similarity of users u and v from the merged read
+// view. The answer is exact for every applied edge; call Flush first for
+// read-your-writes over edges still in flight. A post-Flush Query is
+// bit-identical to a single vos.Sketch that consumed the whole stream
+// with the same Config.
 func (e *Engine) Query(u, v stream.User) core.Estimate {
-	e.maybeAdvance()
-	return e.snapshot().Query(u, v)
+	view := e.readView()
+	defer e.viewMu.RUnlock()
+	return view.Query(u, v)
 }
 
 // QueryMany estimates u against every candidate in one pass over the
-// merged snapshot (see core.VOS.QueryMany).
+// merged view (see core.VOS.QueryMany).
 func (e *Engine) QueryMany(u stream.User, candidates []stream.User) []core.Estimate {
-	e.maybeAdvance()
-	return e.snapshot().QueryMany(u, candidates)
+	view := e.readView()
+	defer e.viewMu.RUnlock()
+	return view.QueryMany(u, candidates)
 }
 
-// TopK returns the n candidates most similar to u from the merged global
-// snapshot — highest estimated Jaccard first, ties broken by user ID, with
+// TopK returns the n candidates most similar to u from the merged read
+// view — highest estimated Jaccard first, ties broken by user ID, with
 // the full estimates attached. The probe's virtual sketch is recovered
 // once; candidates are then split into ranges fanned out across up to
 // GOMAXPROCS goroutines, each streaming its range against the packed probe
-// with a bounded min-heap, and the per-worker tops are merged. The
-// snapshot is immutable and the shared position cache is internally
-// locked, so the fan-out is read-only and race-clean.
+// with a bounded min-heap, and the per-worker tops are merged. The caller
+// holds the view's read lock across the whole fan-out, so no refresh can
+// change the view under the workers, and the shared position cache is
+// internally locked: the fan-out is read-only and race-clean.
 //
-// The result is identical to snapshot.TopK(u, candidates, n) — and to
+// The result is identical to view.TopK(u, candidates, n) — and to
 // sorting per-pair Query estimates — regardless of worker count: every
 // global top-n result is inside its worker's top n, and the merge sorts
 // with the same total order (core.RankBefore) the workers used.
@@ -718,18 +650,19 @@ func (e *Engine) TopKContext(ctx context.Context, u stream.User, candidates []st
 	return e.topK(ctx, u, candidates, n)
 }
 
-// topK is the shared body of TopK and TopKContext: snapshot, fan out, merge.
+// topK is the shared body of TopK and TopKContext: refresh, fan out, merge.
 func (e *Engine) topK(ctx context.Context, u stream.User, candidates []stream.User, n int) ([]core.TopKResult, error) {
-	e.maybeAdvance()
-	snap := e.snapshot()
-	return e.rankCandidates(ctx, snap, snap.RecoverSketch(u), candidates, n)
+	view := e.readView()
+	defer e.viewMu.RUnlock()
+	return e.rankCandidates(ctx, view, view.RecoverSketch(u), candidates, n)
 }
 
 // rankCandidates scores the candidates against a recovered probe and
 // returns the top n by core.RankBefore — the parallel fan-out shared by
 // the exact scan (topK) and the ANN probe (topKApprox), which differ only
-// in where the candidate list comes from.
-func (e *Engine) rankCandidates(ctx context.Context, snap *core.VOS, r *core.Recovered, candidates []stream.User, n int) ([]core.TopKResult, error) {
+// in where the candidate list comes from. Callers hold the view's read
+// lock.
+func (e *Engine) rankCandidates(ctx context.Context, view *core.VOS, r *core.Recovered, candidates []stream.User, n int) ([]core.TopKResult, error) {
 	// Below ~2 full ranges the goroutine and merge overhead outweighs the
 	// fan-out; answer sequentially.
 	const minPerWorker = 64
@@ -738,7 +671,7 @@ func (e *Engine) rankCandidates(ctx context.Context, snap *core.VOS, r *core.Rec
 		workers = maxW
 	}
 	if workers <= 1 || n <= 0 {
-		return snap.TopKRecoveredContext(ctx, r, candidates, n)
+		return view.TopKRecoveredContext(ctx, r, candidates, n)
 	}
 	tops := make([][]core.TopKResult, workers)
 	errs := make([]error, workers)
@@ -752,7 +685,7 @@ func (e *Engine) rankCandidates(ctx context.Context, snap *core.VOS, r *core.Rec
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			tops[w], errs[w] = snap.TopKRecoveredContext(ctx, r, candidates[lo:hi], n)
+			tops[w], errs[w] = view.TopKRecoveredContext(ctx, r, candidates[lo:hi], n)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -783,9 +716,9 @@ func (e *Engine) PositionCacheStats() (st poscache.Stats, ok bool) {
 
 // QueryContext is Query with lifecycle and cancellation checks: ErrClosed
 // once Close has begun, ctx.Err() when the context is already cancelled,
-// otherwise the merged-snapshot answer. The snapshot query itself is a
-// single O(k) comparison, so no mid-query cancellation point is needed —
-// TopKContext is where cooperative cancellation matters.
+// otherwise the merged-view answer. The query itself is a single O(k)
+// comparison, so no mid-query cancellation point is needed — TopKContext
+// is where cooperative cancellation matters.
 func (e *Engine) QueryContext(ctx context.Context, u, v stream.User) (core.Estimate, error) {
 	if e.closed.Load() {
 		return core.Estimate{}, ErrClosed
@@ -793,8 +726,7 @@ func (e *Engine) QueryContext(ctx context.Context, u, v stream.User) (core.Estim
 	if err := ctx.Err(); err != nil {
 		return core.Estimate{}, err
 	}
-	e.maybeAdvance()
-	return e.snapshot().Query(u, v), nil
+	return e.Query(u, v), nil
 }
 
 // CardinalityContext is Cardinality with lifecycle and cancellation checks.
@@ -833,8 +765,14 @@ func (e *Engine) Cardinality(u stream.User) int64 {
 	}
 	s := e.shards[e.ShardOf(u)]
 	s.skMu.RLock()
-	c := s.sk.Cardinality(u)
-	s.skMu.RUnlock()
+	defer s.skMu.RUnlock()
+	return e.cardinalityLocked(u)
+}
+
+// cardinalityLocked is n_u summed over the owning shard and the recovery
+// bases. Callers hold the owning shard's skMu and, in window mode, winMu.
+func (e *Engine) cardinalityLocked(u stream.User) int64 {
+	c := e.shards[e.ShardOf(u)].sk.Cardinality(u)
 	if base := e.base.Load(); base != nil {
 		c += base.Cardinality(u)
 	}
@@ -844,16 +782,17 @@ func (e *Engine) Cardinality(u stream.User) int64 {
 	return c
 }
 
-// Stats summarises the merged global sketch (see core.VOS.Stats). In
-// window mode the window metadata fields are set, the state covers the
-// live window only, and MemoryBytes counts the full resident footprint —
-// every shard's bucket ring plus the flattened snapshot, matching what
+// Stats summarises the merged view (see core.VOS.Stats). In window mode
+// the window metadata fields are set, the state covers the live window
+// only, and MemoryBytes counts the full resident footprint — every
+// shard's bucket ring plus the flattened view, matching what
 // WindowedSketch.Stats reports for the single-threaded shape — so an
 // operator sizing a windowed deployment from /v1/stats sees the rings,
 // not just one array.
 func (e *Engine) Stats() core.Stats {
-	e.maybeAdvance()
-	st := e.snapshot().Stats()
+	view := e.readView()
+	defer e.viewMu.RUnlock()
+	st := view.Stats()
 	if w := e.cfg.Window; w != nil {
 		st.WindowSeconds = (time.Duration(w.Buckets) * w.BucketDuration).Seconds()
 		st.WindowBuckets = w.Buckets
@@ -873,17 +812,18 @@ func (e *Engine) Stats() core.Stats {
 
 // MarshalBinary serializes the engine's merged state; the result restores
 // with core.UnmarshalVOS (or vos.Unmarshal) as a plain single sketch. It
-// flushes first and then merges with a zero staleness budget, so the bytes
-// cover every edge acknowledged before the call even when
-// Config.SnapshotMaxLag allows stale Query answers — a serialized engine
-// is never behind its acknowledged writes. In window mode the bytes are
+// flushes first and then reads the refreshed view, so the bytes cover
+// every edge acknowledged before the call — a serialized engine is never
+// behind its acknowledged writes. In window mode the bytes are
 // the live window view (in-window edges only), without bucket structure —
 // checkpoints, which must keep rotating after recovery, persist per-bucket
 // state instead (see durability.go).
 func (e *Engine) MarshalBinary() ([]byte, error) {
-	e.maybeAdvance()
+	e.maybeAdvance() // rotate before flushing, as Process would
 	e.Flush()
-	return e.snapshotMaxLag(0).MarshalBinary()
+	view := e.readView()
+	defer e.viewMu.RUnlock()
+	return view.MarshalBinary()
 }
 
 // ShardStats reports one health snapshot per shard: ingest counters,

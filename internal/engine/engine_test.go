@@ -229,44 +229,96 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	}
 }
 
-// TestSnapshotStaleness: with a lag budget the snapshot is reused, and a
-// zero budget re-merges as soon as new edges apply.
-func TestSnapshotStaleness(t *testing.T) {
-	e := MustNew(Config{
-		Sketch: testConfig(), Shards: 2, BatchSize: 1,
-		SnapshotMaxLag: 1 << 62,
-	})
-	defer e.Close()
-	if err := e.Process(stream.Edge{User: 1, Item: 1, Op: stream.Insert}); err != nil {
-		t.Fatal(err)
-	}
-	e.Flush()
-	first := e.snapshot()
-	if err := e.Process(stream.Edge{User: 1, Item: 2, Op: stream.Insert}); err != nil {
-		t.Fatal(err)
-	}
-	e.Flush()
-	if e.snapshot() != first {
-		t.Fatal("snapshot rebuilt despite a huge staleness budget")
-	}
+// TestViewRefreshCost pins the merged view's O(churn) refresh with the
+// engine's refresh counters: a read with no write before it reuses the
+// view and recomputes nothing; a read after a one-edge write refreshes it
+// by recomputing exactly the one array word the edge flipped; a read after
+// a batch recomputes exactly the distinct words the batch flipped; and
+// only engine start and an import recompute the view in full.
+func TestViewRefreshCost(t *testing.T) {
+	cfg := testConfig()
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			e := MustNew(Config{Sketch: cfg, Shards: shards, BatchSize: 1})
+			defer e.Close()
+			counts := func() viewStats {
+				e.viewMu.RLock()
+				defer e.viewMu.RUnlock()
+				return e.viewStats
+			}
+			e.Query(1, 2)
+			start := counts()
+			if start.refreshes != 1 || start.fulls != 1 {
+				t.Fatalf("first read: %+v, want the one full recompute of engine start", start)
+			}
 
-	e2 := MustNew(Config{Sketch: testConfig(), Shards: 2, BatchSize: 1})
-	defer e2.Close()
-	if err := e2.Process(stream.Edge{User: 1, Item: 1, Op: stream.Insert}); err != nil {
-		t.Fatal(err)
+			e.Query(1, 2)
+			e.Stats()
+			if got := counts(); got != start {
+				t.Fatalf("reads with no write refreshed the view: %+v, was %+v", got, start)
+			}
+
+			ed := stream.Edge{User: 1, Item: 1, Op: stream.Insert}
+			if err := e.Process(ed); err != nil {
+				t.Fatal(err)
+			}
+			e.Flush()
+			e.Query(1, 2)
+			want := viewStats{refreshes: start.refreshes + 1, fulls: start.fulls, words: start.words + 1}
+			if got := counts(); got != want {
+				t.Fatalf("read after one edge: %+v, want %+v", got, want)
+			}
+
+			if e.Cardinality(1) != 1 {
+				t.Fatalf("cardinality = %d, want 1", e.Cardinality(1))
+			}
+
+			batch := feasibleStream(40, 10, 0, 5)
+			words := make(map[uint64]bool)
+			for _, ed := range batch {
+				words[flippedWord(cfg, ed)] = true
+			}
+			before := counts()
+			if err := e.ProcessBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			e.Flush()
+			e.TopK(1, []stream.User{2, 3, 4}, 2)
+			want = viewStats{refreshes: before.refreshes + 1, fulls: before.fulls, words: before.words + uint64(len(words))}
+			if got := counts(); got != want {
+				t.Fatalf("read after %d edges flipping %d distinct words: %+v, want %+v", len(batch), len(words), got, want)
+			}
+
+			other := core.MustNew(cfg)
+			other.Process(stream.Edge{User: 9, Item: 9, Op: stream.Insert})
+			data, err := other.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.ImportSketch(data); err != nil {
+				t.Fatal(err)
+			}
+			before = counts()
+			e.Query(1, 9)
+			if got := counts(); got.refreshes != before.refreshes+1 || got.fulls != before.fulls+1 {
+				t.Fatalf("read after an import: %+v, want one full recompute after %+v", got, before)
+			}
+		})
 	}
-	e2.Flush()
-	a := e2.snapshot()
-	if err := e2.Process(stream.Edge{User: 1, Item: 2, Op: stream.Insert}); err != nil {
-		t.Fatal(err)
+}
+
+// flippedWord returns the array word edge ed flips. A fresh sketch that
+// took only ed has one set bit, at f_j(u) for every slot j of u that
+// recovers as 1.
+func flippedWord(cfg core.Config, ed stream.Edge) uint64 {
+	sk := core.MustNew(cfg)
+	sk.Process(ed)
+	for j, p := range sk.Positions(ed.User) {
+		if sk.RecoverBit(ed.User, j) {
+			return p / 64
+		}
 	}
-	e2.Flush()
-	if e2.snapshot() == a {
-		t.Fatal("zero-lag snapshot not rebuilt after new edges")
-	}
-	if e2.Cardinality(1) != 2 {
-		t.Fatalf("cardinality = %d, want 2", e2.Cardinality(1))
-	}
+	panic("edge flipped no bit")
 }
 
 // TestMarshalRoundTrip: the engine's merged snapshot restores as a plain

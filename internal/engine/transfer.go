@@ -15,10 +15,10 @@ import (
 //
 // The imported state lands in the engine's recovery base — the same slot
 // a checkpoint restores into — so shards keep holding only their own
-// deltas and every query path picks it up through the existing
-// base-merge. Each import publishes a fresh immutable base sketch (old
-// base XOR import), so concurrent readers are never exposed to a
-// half-merged array.
+// deltas and the merged view picks it up on its next refresh, which
+// recomputes in full after an import. Each import publishes a fresh
+// immutable base sketch (old base XOR import), so concurrent readers are
+// never exposed to a half-merged array.
 //
 // On a durable engine the import is immediately checkpointed: the
 // imported edges exist in no local WAL record, so without a covering
@@ -47,26 +47,26 @@ func (e *Engine) ImportSketch(data []byte) error {
 		return fmt.Errorf("engine: imported sketch config %+v does not match engine config %+v",
 			imported.Config(), e.cfg.Sketch)
 	}
-	// snapMu serializes concurrent imports (the read-merge-publish below
-	// must not interleave) and invalidates the cached query snapshot in
-	// the same critical section the new base is published in, so no reader
-	// can pair a stale snapshot decision with the new state.
-	e.snapMu.Lock()
+	// The view's write lock serializes concurrent imports (the
+	// read-merge-publish below must not interleave) and keeps refreshes
+	// out until the new base is published and the view marked for a full
+	// recompute.
+	e.viewMu.Lock()
 	merged := core.MustNew(e.cfg.Sketch)
 	merged.SetPositionCache(e.pcache)
 	if old := e.base.Load(); old != nil {
 		if err := merged.Merge(old); err != nil {
-			e.snapMu.Unlock()
+			e.viewMu.Unlock()
 			panic(fmt.Sprintf("engine: base merge failed: %v", err))
 		}
 	}
 	if err := merged.Merge(imported); err != nil {
-		e.snapMu.Unlock()
+		e.viewMu.Unlock()
 		return err
 	}
 	e.base.Store(merged)
-	e.snap = nil
-	e.snapMu.Unlock()
+	e.invalidateView()
+	e.viewMu.Unlock()
 
 	if e.log != nil {
 		// Make the import durable before acknowledging it: the imported

@@ -4,17 +4,18 @@ package engine
 //
 // Each shard owns a core.Window instead of a bare sketch: edges land in
 // the shard's current bucket, the shard's live view is the window's merged
-// sketch, and the engine's global snapshot merges those views exactly as
-// before — windowing changes what each shard's sketch *contains*, not how
-// shards compose. Because VOS merging is exact for any stream partition,
-// the merged windowed snapshot is bit-identical to a single Window that
-// consumed the whole stream.
+// sketch, and the engine's merged read view combines those views exactly
+// as before — windowing changes what each shard's sketch *contains*, not
+// how shards compose. Because VOS merging is exact for any stream
+// partition, the merged windowed view is bit-identical to a single Window
+// that consumed the whole stream. A rotation rewrites whole arrays, so it
+// marks the merged view for a full recompute on its next refresh.
 //
 // Rotation is coordinated: every shard window is created with the same
 // epoch-aligned boundaries and only ever advances under the engine's
-// window lock (winMu), which snapshot building and checkpointing hold in
-// read mode for their whole merge loop — so no snapshot or checkpoint can
-// observe shard A pre-rotation and shard B post-rotation. The lock order
+// window lock (winMu), which view refreshes and checkpointing hold in
+// read mode for their whole loop — so no view or checkpoint can observe
+// shard A pre-rotation and shard B post-rotation. The lock order
 // is winMu before any shard's skMu; the ingest workers take only skMu and
 // are blocked per shard exactly for that shard's O(sketch) retire pass.
 //
@@ -175,6 +176,7 @@ func (e *Engine) AdvanceWindowTo(t time.Time) int {
 	if steps > 0 {
 		e.winRot.Add(uint64(steps))
 		e.winEnd.Store(e.shards[0].win.End().UnixNano())
+		e.invalidateView() // retiring a bucket touches the whole array
 	}
 	return steps
 }

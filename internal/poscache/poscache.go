@@ -38,7 +38,7 @@ func New(capacity int) *Cache {
 	if capacity <= 0 {
 		panic("poscache: capacity must be positive")
 	}
-	// No capacity hint: many sketches (every engine snapshot, every
+	// No capacity hint: many sketches (every engine view refresh, every
 	// experiment run) carry a cache that never fills, and pre-sized
 	// buckets would tax each of them up front.
 	return &Cache{

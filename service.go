@@ -146,12 +146,11 @@ var ErrClosed = engine.ErrClosed
 
 // engineService adapts *Engine to SimilarityService. Reads flush first —
 // read-your-writes: an accepted edge may still sit in a producer buffer or
-// shard queue, and the engine's merged snapshot only covers applied edges,
+// shard queue, and the engine's merged view only covers applied edges,
 // so querying without the flush could silently miss acknowledged writes
 // (the exact silent-zero the typed service contract exists to remove).
-// Write-heavy deployments that prefer bounded staleness over
-// read-your-writes should query the Engine directly with
-// EngineConfig.SnapshotMaxLag set.
+// The flushed read then refreshes the view in O(edges written since the
+// last read), not O(sketch).
 type engineService struct {
 	e *Engine
 }

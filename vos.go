@@ -29,7 +29,7 @@
 //
 // Sketch is single-threaded. Engine is the concurrent form: it shards the
 // stream across N private sketches with one ingest goroutine each and
-// answers queries from an exactly merged snapshot — because VOS merging is
+// answers queries from an exactly merged read view — because VOS merging is
 // exact for any partition of the stream, sharded ingest costs no accuracy.
 // See examples/sharded.
 //
