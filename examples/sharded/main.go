@@ -9,7 +9,7 @@
 //     same routing as vos.PartitionByUser),
 //  2. each shard is a private sketch owned by one ingest goroutine, fed
 //     through a buffered channel in batches — no shared write lock,
-//  3. queries answer from a merged snapshot; merging is exact, so after
+//  3. queries answer from a merged read view; merging is exact, so after
 //     Flush the engine's estimates are bit-identical to a sketch that
 //     consumed the whole stream sequentially.
 //

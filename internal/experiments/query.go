@@ -22,7 +22,7 @@ import (
 //     XOR+popcount, no caches;
 //   - warm: position tables and packed recovered sketches cached — the
 //     read-heavy serving steady state;
-//   - engine: Engine.TopK over the merged snapshot with the parallel
+//   - engine: Engine.TopK over the merged read view with the parallel
 //     candidate fan-out (top-K row only).
 //
 // Every path is parity-checked against the per-bit reference before it is
@@ -143,7 +143,7 @@ func QueryPerf(opts Options) (*Table, error) {
 	topk["warm"] = timeOp(topkBudget, func() { topkSink = sk.TopK(probe, candidates, topN) })
 
 	// Engine row: same stream through a sharded engine, ranked from the
-	// merged snapshot with the parallel fan-out.
+	// merged read view with the parallel fan-out.
 	eng, err := engine.New(engine.Config{
 		Sketch:             cfg,
 		Shards:             runtime.GOMAXPROCS(0),

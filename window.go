@@ -65,8 +65,8 @@ func UnmarshalWindowed(data []byte) (*WindowedSketch, error) {
 
 // WindowConfig is EngineConfig.Window: setting it puts the Engine in
 // sliding-window mode. Each shard keeps its own bucket ring; rotation is
-// coordinated across shards under an engine-level lock so query snapshots
-// and checkpoints never observe half a rotation, and checkpoints persist
+// coordinated across shards under an engine-level lock so the merged read
+// view and checkpoints never observe half a rotation, and checkpoints persist
 // per-bucket state so a recovered engine keeps retiring buckets on the
 // boundaries it was persisted with.
 type WindowConfig = engine.WindowConfig
