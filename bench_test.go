@@ -668,19 +668,14 @@ func queryAfterWritePreload(b *testing.B) []vos.Edge {
 	return queryAfterWritePreloadCache
 }
 
-// BenchmarkQueryAfterWrite measures a pair query right after a small
-// write, the interleaved read/write path, at the paper-scale
-// configuration (m = 2^24, k = 6400) over a ~500k-edge preload. Each
-// iteration applies one 64-edge ProcessBatch, Flushes it, and queries a
-// pair of the users it wrote. The writes cycle S then S⁻¹ (256 batches of
-// fresh items inserted, then deleted again) so the sketch's load does not
-// drift however long the run. The sub-benchmarks at 1, 2 and 4 shards
-// show how the cost scales with the shard count.
-func BenchmarkQueryAfterWrite(b *testing.B) {
-	preload := queryAfterWritePreload(b)
+// afterWriteCycle builds the writes of the after-write benchmarks: 256
+// 64-edge batches of fresh items on preloaded users, inserted (S), and
+// the same batches as deletes (S⁻¹). Cycling S then S⁻¹ keeps the
+// sketch's load from drifting however long the run.
+func afterWriteCycle(preload []vos.Edge) (inserts, deletes [][]vos.Edge) {
 	const batch, cycle = 64, 256
-	inserts := make([][]vos.Edge, cycle)
-	deletes := make([][]vos.Edge, cycle)
+	inserts = make([][]vos.Edge, cycle)
+	deletes = make([][]vos.Edge, cycle)
 	for j := range inserts {
 		ins := make([]vos.Edge, batch)
 		del := make([]vos.Edge, batch)
@@ -692,6 +687,17 @@ func BenchmarkQueryAfterWrite(b *testing.B) {
 		}
 		inserts[j], deletes[j] = ins, del
 	}
+	return inserts, deletes
+}
+
+// benchAfterWrite runs read after every write of afterWriteCycle, each
+// write applied with ProcessBatch and Flushed first, on engines of 1, 2
+// and 4 shards preloaded with queryAfterWritePreload at the paper-scale
+// configuration. read gets the batch just written. settle runs once on
+// the preloaded state before the timer starts.
+func benchAfterWrite(b *testing.B, settle func(*vos.Engine), read func(*vos.Engine, []vos.Edge)) {
+	preload := queryAfterWritePreload(b)
+	inserts, deletes := afterWriteCycle(preload)
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			eng := vos.MustNewEngine(vos.EngineConfig{Sketch: ingestConfig(), Shards: shards})
@@ -700,19 +706,53 @@ func BenchmarkQueryAfterWrite(b *testing.B) {
 				b.Fatal(err)
 			}
 			eng.Flush()
-			eng.Query(0, 1) // settle the read path on the preloaded state
+			settle(eng)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				w := inserts[i%cycle]
-				if (i/cycle)%2 == 1 {
-					w = deletes[i%cycle]
+				w := inserts[i%len(inserts)]
+				if (i/len(inserts))%2 == 1 {
+					w = deletes[i%len(deletes)]
 				}
 				if err := eng.ProcessBatch(w); err != nil {
 					b.Fatal(err)
 				}
 				eng.Flush()
-				estimateSink = eng.Query(w[0].User, w[1].User)
+				read(eng, w)
 			}
 		})
 	}
+}
+
+// BenchmarkQueryAfterWrite measures a pair query right after a small
+// write, the interleaved read/write path, at the paper-scale
+// configuration (m = 2^24, k = 6400) over a ~500k-edge preload. Each
+// iteration applies one 64-edge ProcessBatch, Flushes it, and queries a
+// pair of the users it wrote. The sub-benchmarks at 1, 2 and 4 shards
+// show how the cost scales with the shard count.
+func BenchmarkQueryAfterWrite(b *testing.B) {
+	benchAfterWrite(b,
+		func(eng *vos.Engine) { eng.Query(0, 1) }, // settle the read path
+		func(eng *vos.Engine, w []vos.Edge) { estimateSink = eng.Query(w[0].User, w[1].User) })
+}
+
+// BenchmarkTopKAfterWrite measures a top-K right after a small write:
+// each iteration applies one 64-edge ProcessBatch, Flushes it, and ranks
+// a fixed set of 200 preloaded users against one user it wrote, at the
+// same scale and shard counts as BenchmarkQueryAfterWrite. A write
+// changes the recovered bits of few users, so the refreshed view patches
+// the cached candidates' recovered sketches instead of gathering them
+// again; the settle top-K warms that cache.
+func BenchmarkTopKAfterWrite(b *testing.B) {
+	preload := queryAfterWritePreload(b)
+	var candidates []vos.User
+	seen := make(map[vos.User]bool)
+	for i := 0; len(candidates) < 200; i++ {
+		if u := preload[i*1009%len(preload)].User; !seen[u] {
+			seen[u] = true
+			candidates = append(candidates, u)
+		}
+	}
+	benchAfterWrite(b,
+		func(eng *vos.Engine) { eng.TopK(candidates[0], candidates, 10) },
+		func(eng *vos.Engine, w []vos.Edge) { topKSink = eng.TopK(w[0].User, candidates, 10) })
 }

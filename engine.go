@@ -1,6 +1,7 @@
 package vos
 
 import (
+	"github.com/vossketch/vos/internal/core"
 	"github.com/vossketch/vos/internal/engine"
 	"github.com/vossketch/vos/internal/metrics"
 	"github.com/vossketch/vos/internal/poscache"
@@ -42,6 +43,12 @@ type EngineConfig = engine.Config
 // Engine.PositionCacheStats. A low hit rate on a serving workload means
 // EngineConfig.PositionCacheUsers is sized below the hot user set.
 type PositionCacheStats = poscache.Stats
+
+// RecoveredCacheStats is a counter snapshot of the engine's recovered-
+// sketch cache, from Engine.RecoveredCacheStats: hits, misses, evictions
+// and fill, plus Patched, the misses served by patching an entry a write
+// left stale rather than gathering it again.
+type RecoveredCacheStats = core.RecoveredStats
 
 // ShardStat is one engine shard's health snapshot (counters, backlog, β).
 type ShardStat = metrics.ShardStat

@@ -274,6 +274,29 @@ func (b *Bitset) GatherXorCountRef(idx []uint64, o *Bitset) uint64 {
 	return gatherXorCountRef(b.words, b.n, idx, o.words)
 }
 
+// Regather brings ws, a packed gather of b at idx (as Gather's words
+// produce) taken before some of b's words changed, up to date. changed
+// holds one bit per word of b, set for every word that may have changed
+// since the gather; only the slots whose position falls in a flagged word
+// are probed again. The result is the words Gather(idx) would return now:
+// ws itself when no bit differs (nothing is copied), otherwise a fresh
+// slice — ws is never written, so it may be shared. delta is the result's
+// popcount minus that of ws. len(ws) must be (len(idx)+63)/64 with zero
+// tail bits, and changed must cover every word of b.
+//
+// This is how a cached recovered sketch follows a small write: the whole
+// table is scanned against the flags, but the shared array is read only
+// where it changed.
+func (b *Bitset) Regather(ws, idx, changed []uint64) ([]uint64, int64) {
+	if len(ws) != (len(idx)+63)/64 {
+		panic("bitset: word-count mismatch in Regather")
+	}
+	if len(changed) != (len(b.words)+63)/64 {
+		panic("bitset: change bitmap does not cover the array in Regather")
+	}
+	return regatherWords(ws, b.words, b.n, idx, changed)
+}
+
 // check panics when i is out of range. The tail bits of the last word are
 // never addressable, so the ones count stays exact.
 func (b *Bitset) check(i uint64) {

@@ -1,5 +1,6 @@
 // Compare kernels: the word-blocked inner loops behind Gather,
-// GatherXorCount, and XorCountWords.
+// GatherXorCount, and XorCountWords, and the regather loop behind
+// Regather.
 //
 // Two implementations of each kernel live here, both always compiled:
 //
@@ -182,4 +183,40 @@ func xorCountWordsRef(a, b []uint64) uint64 {
 		ones += uint64(bits.OnesCount64(w ^ b[i]))
 	}
 	return ones
+}
+
+// regatherWords is the regather kernel: ws holds a packed gather at idx
+// taken before some of src's words changed, changed has bit w set for
+// every word w of src that may have changed since. Bit j of the result is
+// src bit idx[j] when word idx[j]>>6 is flagged and ws bit j otherwise.
+// ws itself is returned, uncopied, when no bit differs; otherwise a fresh
+// copy carries the differences. delta is the popcount of the result minus
+// that of ws.
+//
+// It has one form on every build. After a small write almost no slot is
+// flagged, so the loop streams the position table against the flags and
+// rarely probes src; a blocked variant (64-slot flag masks built in four
+// chains, probing only flagged slots) measured no faster at paper scale
+// (3.4–3.9 vs 3.4–3.6 ns/slot), since the stream itself is the cost.
+func regatherWords(ws, src []uint64, n uint64, idx, changed []uint64) (out []uint64, delta int64) {
+	out = ws
+	for j, p := range idx {
+		if p >= n {
+			panicRange(p, n)
+		}
+		w := p >> 6
+		if (changed[w>>6]>>(w&63))&1 == 0 {
+			continue
+		}
+		bit := (src[w] >> (p & 63)) & 1
+		if bit == (out[j>>6]>>(uint(j)&63))&1 {
+			continue
+		}
+		if &out[0] == &ws[0] {
+			out = append([]uint64(nil), ws...)
+		}
+		out[j>>6] ^= 1 << (uint(j) & 63)
+		delta += 2*int64(bit) - 1
+	}
+	return out, delta
 }

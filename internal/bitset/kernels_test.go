@@ -104,6 +104,55 @@ func TestKernelEquivalence(t *testing.T) {
 	}
 }
 
+// Regather must bring a stale gather up to date exactly as a fresh Gather
+// would: the words, the popcount delta, no write to the stale words, and
+// no copy when nothing differs. The change bitmap flags
+// every changed word plus unchanged ones, since a flag means "may have
+// changed".
+func TestRegatherEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	sizes := []int{1, 3, 63, 64, 65, 127, 128, 200, 6400}
+	for _, nBits := range []uint64{64, 1000, 1 << 16} {
+		src := New(nBits)
+		for _, pat := range kernelPatterns {
+			for _, size := range sizes {
+				for shape, idx := range kernelIndexSets(nBits, size, rng) {
+					src.Reset()
+					fillPattern(src, pat, rng)
+					stale := src.Gather(idx)
+					ws := append([]uint64(nil), stale.UnsafeWords()...)
+					changed := make([]uint64, (len(src.words)+63)/64)
+					for f := rng.Intn(4); f >= 0; f-- {
+						p := uint64(rng.Int63n(int64(nBits)))
+						if rng.Intn(3) > 0 {
+							src.Flip(p)
+						}
+						changed[p>>12] |= 1 << ((p >> 6) & 63)
+					}
+					if rng.Intn(4) == 0 {
+						p := idx[rng.Intn(len(idx))] // a probed bit, so some slot differs
+						src.Flip(p)
+						changed[p>>12] |= 1 << ((p >> 6) & 63)
+					}
+					want := src.Gather(idx)
+					out, delta := src.Regather(ws, idx, changed)
+					got := FromWordsUnsafe(out, uint64(size))
+					if !got.Equal(want) || int64(stale.Count())+delta != int64(want.Count()) {
+						t.Fatalf("regather mismatch: n=%d pat=%s shape=%s size=%d", nBits, pat, shape, size)
+					}
+					if !FromWordsUnsafe(ws, uint64(size)).Equal(stale) {
+						t.Fatalf("regather wrote the stale words: n=%d pat=%s shape=%s size=%d", nBits, pat, shape, size)
+					}
+					if aliased := &out[0] == &ws[0]; aliased != stale.Equal(want) {
+						t.Fatalf("regather copied=%v with differences=%v: n=%d pat=%s shape=%s size=%d",
+							!aliased, !stale.Equal(want), nBits, pat, shape, size)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestXorCountWordsKernelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, nBits := range []uint64{1, 63, 64, 65, 256, 6400} {
@@ -142,6 +191,7 @@ func TestKernelRangePanics(t *testing.T) {
 			"GatherXorCount":    func() { src.GatherXorCount(idx, other64) },
 			"GatherXorCountRef": func() { src.GatherXorCountRef(idx, other64) },
 			"blocked gatherxor": func() { gatherXorCountBlocked(src.words, src.n, idx, other64.words) },
+			"Regather":          func() { src.Regather(make([]uint64, 1), idx, make([]uint64, 1)) },
 		} {
 			func() {
 				defer func() {
@@ -168,6 +218,7 @@ func TestKernelRangePanicsTail(t *testing.T) {
 		"blocked gather":    func() { gatherWordsBlocked(make([]uint64, 1), src.words, src.n, idx) },
 		"blocked gatherxor": func() { gatherXorCountBlocked(src.words, src.n, idx, New(3).words) },
 		"ref gather":        func() { src.GatherRef(idx) },
+		"Regather":          func() { src.Regather(make([]uint64, 1), idx, make([]uint64, 1)) },
 	} {
 		func() {
 			defer func() {
@@ -201,6 +252,30 @@ func BenchmarkGatherXorCountBlocked(b *testing.B) {
 	benchGather(b, func(src *Bitset, idx []uint64) uint64 {
 		return gatherXorCountBlocked(src.words, src.n, idx, o.words)
 	})
+}
+
+// BenchmarkRegather times the regather shape after a 64-edge write at
+// paper scale: 64 flagged words of 2^18, so a 6400-slot table has about
+// one flagged slot.
+func BenchmarkRegather(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	src := New(1 << 24)
+	idx := make([]uint64, 6400)
+	for i := range idx {
+		idx[i] = uint64(rng.Int63n(1 << 24))
+	}
+	ws := src.Gather(idx).UnsafeWords()
+	changed := make([]uint64, (1<<18)/64)
+	for i := 0; i < 64; i++ {
+		w := rng.Int63n(1 << 18)
+		changed[w>>6] |= 1 << (w & 63)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, d := src.Regather(ws, idx, changed)
+		benchOnes += uint64(d)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(idx)), "ns/slot")
 }
 
 var benchOnes uint64

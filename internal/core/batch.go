@@ -67,9 +67,11 @@ func (v *VOS) lookupPositions(u stream.User) (pos []uint64, scratch bool) {
 func (v *VOS) releasePositions(p []uint64) { v.posScratch.Put(&p) }
 
 // Recovered is a dense snapshot of one user's virtual odd sketch, reusable
-// across queries against a fixed sketch state. It is invalidated by any
-// subsequent write — Process or Merge — (the shared array changes
-// underneath it); re-recover after updates.
+// across queries against a fixed sketch state. It keeps describing the
+// state it was recovered from: its words are never written in place (a
+// cache entry brought up to date is a new copy), so after a write it is
+// merely old — re-recover to see updates. Re-recovering after a small
+// refresh (Remerge) patches the cached entry instead of gathering it.
 type Recovered struct {
 	user stream.User
 	bits *bitset.Bitset
@@ -93,8 +95,8 @@ func (r *Recovered) Words() []uint64 { return r.bits.UnsafeWords() }
 // RecoverSketch snapshots user u's virtual odd sketch Ô_u as k packed bits
 // together with the cardinality and array load at recovery time. Bit j of
 // the result is A[f_j(u)], gathered word-by-word from the shared array —
-// or taken straight from the recovered-sketch cache when u was already
-// recovered at the current write version.
+// or served from the recovered-sketch cache, patched first if the entry
+// predates a refresh (see recoveredWords).
 func (v *VOS) RecoverSketch(u stream.User) *Recovered {
 	return &Recovered{
 		user: u,
@@ -104,20 +106,51 @@ func (v *VOS) RecoverSketch(u stream.User) *Recovered {
 	}
 }
 
-// recoverBits returns u's packed recovered sketch, serving and filling the
-// versioned cache. Cached words are wrapped without copying; the resulting
+// recoverBits returns u's packed recovered sketch, through the cache when
+// there is one. Cached words are wrapped without copying; the resulting
 // bitset is read-only by the Recovered contract.
 func (v *VOS) recoverBits(u stream.User) *bitset.Bitset {
-	if v.rec != nil {
-		if ws, ones, ok := v.rec.GetVersioned(u, v.version); ok {
-			return bitset.FromWordsCountedUnsafe(ws, uint64(v.cfg.SketchBits), ones)
+	if v.rec == nil {
+		return v.gatherBits(u)
+	}
+	ws, ones := v.recoveredWords(u)
+	return bitset.FromWordsCountedUnsafe(ws, uint64(v.cfg.SketchBits), ones)
+}
+
+// recoveredWords returns u's packed recovered sketch at the current
+// version and its popcount through the cache, which must be attached:
+//
+//   - an entry stamped at the current version is served as is;
+//   - an older entry the change log still covers (stamp ≥ horizon) is
+//     patched: its position table is scanned against the words changed
+//     since its stamp and only the slots in those words are read again,
+//     the 800-byte words copied only if a bit really differs;
+//   - anything else — no entry, or one from before the last unlogged
+//     write — is gathered in full.
+//
+// The result is stored under the current version. Concurrent readers may
+// patch the same entry: entries are never written in place, so each
+// computes the same words and the last store wins.
+func (v *VOS) recoveredWords(u stream.User) ([]uint64, uint64) {
+	ws, ones, stamp, ok := v.rec.GetStamped(u, v.version)
+	switch {
+	case ok && stamp == v.version:
+		return ws, ones
+	case ok && stamp >= v.horizon:
+		pos, scratch := v.lookupPositions(u)
+		var delta int64
+		ws, delta = v.arr.Regather(ws, pos, v.changedSince(stamp))
+		if scratch {
+			v.releasePositions(pos)
 		}
+		ones = uint64(int64(ones) + delta)
+		v.patched.Add(1)
+	default:
+		bits := v.gatherBits(u)
+		ws, ones = bits.UnsafeWords(), bits.Count()
 	}
-	bits := v.gatherBits(u)
-	if v.rec != nil {
-		v.rec.PutVersioned(u, v.version, bits.UnsafeWords(), bits.Count())
-	}
-	return bits
+	v.rec.PutVersioned(u, v.version, ws, ones)
+	return ws, ones
 }
 
 // gatherBits materialises u's packed recovered sketch from the shared
@@ -137,22 +170,15 @@ func (v *VOS) Recover(u stream.User) *Recovered { return v.RecoverSketch(u) }
 
 // QueryRecovered estimates the similarity between a recovered snapshot
 // and user w, equivalent to Query(r.User(), w) against the sketch state
-// at recovery time. When w's recovered sketch is cached at the current
-// write version the comparison is a pure XOR+popcount over ~k/64 words —
-// no hashing, no array probes; otherwise w's bits are gathered (and
-// cached), fused with the XOR 64 virtual slots at a time.
+// at recovery time. With the recovered-sketch cache attached, w's packed
+// sketch comes from it (patched or gathered and cached as needed, see
+// recoveredWords), so the comparison is a pure XOR+popcount over ~k/64
+// words and the next pass runs probe-free; without it, w's bits are
+// gathered and fused with the XOR 64 virtual slots at a time.
 func (v *VOS) QueryRecovered(r *Recovered, w stream.User) Estimate {
 	if v.rec != nil {
-		// Hot path: compare the packed snapshots word for word, straight
-		// off the cached slice — no gather, no allocation, no recount.
-		if ws, _, ok := v.rec.GetVersioned(w, v.version); ok {
-			return v.estimateFrom(int(r.bits.XorCountWords(ws)), r.card, v.card[w], r.beta)
-		}
-		// Miss: materialise w's bits (rather than fusing the XOR into the
-		// gather) so the cache warms and the next pass runs probe-free.
-		bits := v.gatherBits(w)
-		v.rec.PutVersioned(w, v.version, bits.UnsafeWords(), bits.Count())
-		return v.estimateFrom(int(r.bits.XorCount(bits)), r.card, v.card[w], r.beta)
+		ws, _ := v.recoveredWords(w)
+		return v.estimateFrom(int(r.bits.XorCountWords(ws)), r.card, v.card[w], r.beta)
 	}
 	pos, scratch := v.lookupPositions(w)
 	z := v.arr.GatherXorCount(pos, r.bits)

@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
-	"github.com/vossketch/vos/internal/poscache"
 	"github.com/vossketch/vos/internal/stream"
 )
 
@@ -42,6 +42,10 @@ type Dirty struct {
 	logged   []stream.User
 	users    map[stream.User]struct{}
 	allUsers bool
+
+	// full is set by MarkAll: the next Remerge is a full recompute, so it
+	// empties the merged sketch's change log instead of adding to it.
+	full bool
 }
 
 // NewDirty creates an empty Dirty for sketches of configuration cfg.
@@ -85,6 +89,7 @@ func (d *Dirty) Absorb(o *Dirty) {
 		}
 	}
 	d.allUsers = d.allUsers || o.allUsers
+	d.full = d.full || o.full
 	if !d.allUsers {
 		for _, u := range o.logged {
 			d.users[u] = struct{}{}
@@ -94,7 +99,7 @@ func (d *Dirty) Absorb(o *Dirty) {
 		}
 	}
 	o.logged = o.logged[:0]
-	o.allUsers = false
+	o.allUsers, o.full = false, false
 	emptyUsers(&o.users)
 }
 
@@ -108,6 +113,7 @@ func (d *Dirty) MarkAll() {
 		d.words[len(d.words)-1] = 1<<tail - 1
 	}
 	d.allUsers = true
+	d.full = true
 }
 
 // ResolveUsers makes the recorded users explicit: when d counts every
@@ -164,16 +170,26 @@ func (v *VOS) TrackDirty(d *Dirty) { v.dirty = d }
 // sum because it may know which sources can hold a user — the engine's
 // shards partition users, so it reads one shard, not all of them.
 // Everything d does not mark must already equal the merge, so v must
-// equal the merge of srcs as they were when d was last emptied. Remerge
-// empties d, bumps the write version, drops the recovered-sketch entries
-// the bump made dead, and returns the number of array words recomputed.
-// Every source must share v's configuration.
+// equal the merge of srcs as they were when d was last emptied. Every
+// source must share v's configuration.
+//
+// Remerge empties d, bumps the write version and returns the number of
+// array words recomputed. It logs the words whose value changed, stamped
+// with the new version, so cached recovered sketches stay usable: a later
+// read patches an entry by re-reading only its slots in those words (see
+// recoveredWords). The log holds at most changeLimit words; a refresh
+// that would overflow it drops its oldest records, and one that changes
+// more than the whole limit — or a full recompute (MarkAll) — empties it,
+// so every entry recovered before is gathered again.
 func (v *VOS) Remerge(srcs []*VOS, d *Dirty, card func(stream.User) int64) int {
 	for _, s := range srcs {
 		if s.cfg != v.cfg {
 			panic(fmt.Sprintf("core: Remerge source config %+v does not match %+v", s.cfg, v.cfg))
 		}
 	}
+	limit := v.changeLimit()
+	logging := !d.full
+	var changed []int
 	n := 0
 	for i, x := range d.words {
 		if x == 0 {
@@ -186,10 +202,20 @@ func (v *VOS) Remerge(srcs []*VOS, d *Dirty, card func(stream.User) int64) int {
 			for _, s := range srcs {
 				acc ^= s.arr.Word(w)
 			}
-			v.arr.SetWord(w, acc)
+			if acc != v.arr.Word(w) {
+				v.arr.SetWord(w, acc)
+				switch {
+				case !logging:
+				case len(changed) == limit:
+					logging, changed = false, nil
+				default:
+					changed = append(changed, w)
+				}
+			}
 			n++
 		}
 	}
+	d.full = false
 	d.ResolveUsers(append(srcs, v)...)
 	for u := range d.users {
 		if c := card(u); c == 0 {
@@ -199,9 +225,71 @@ func (v *VOS) Remerge(srcs []*VOS, d *Dirty, card func(stream.User) int64) int {
 		}
 	}
 	emptyUsers(&d.users)
-	v.version++
-	if v.rec != nil {
-		v.rec = poscache.New(v.rec.Cap())
+	if !logging {
+		v.touch()
+		return n
 	}
+	v.version++
+	v.logChanges(changed)
 	return n
+}
+
+// wordChanges is one change-log record: the array words whose value the
+// Remerge that produced version ver changed.
+type wordChanges struct {
+	ver   uint64
+	words []int
+}
+
+// changeLimit bounds the change log's total length: m/4096 words (4096 at
+// m = 2^24), so the log never outgrows one change bitmap (32 KiB there)
+// and a bitmap build stays cheap, but at least 64, one 64-edge write's
+// worth, so small sketches can patch too. A write that changes more goes
+// unlogged: the entries it leaves stale are gathered again.
+func (v *VOS) changeLimit() int {
+	return max(len(v.arr.UnsafeWords())/64, 64)
+}
+
+// logChanges appends the words the Remerge to the current version changed,
+// dropping the oldest records until the log fits changeLimit again and
+// moving horizon past what it dropped. len(words) must not exceed
+// changeLimit.
+func (v *VOS) logChanges(words []int) {
+	if len(words) == 0 {
+		return // nothing changed: every patchable entry stays patchable
+	}
+	drop := 0
+	for v.logged+len(words) > v.changeLimit() {
+		v.horizon = v.changes[drop].ver
+		v.logged -= len(v.changes[drop].words)
+		drop++
+	}
+	v.changes = append(slices.Delete(v.changes, 0, drop), wordChanges{ver: v.version, words: words})
+	v.logged += len(words)
+}
+
+// changeUnion is the set of array words changed between two versions, one
+// bit per word in Dirty's layout. It is immutable once published.
+type changeUnion struct {
+	from, to uint64
+	words    []uint64
+}
+
+// changedSince returns, as a bitmap, the array words changed since
+// version s, which must satisfy horizon ≤ s < version. The bitmap is
+// built once per (s, version) and shared read-only by concurrent readers
+// — a top-K's candidates were mostly recovered at one stamp, so they
+// share one build.
+func (v *VOS) changedSince(s uint64) []uint64 {
+	if u := v.union.Load(); u != nil && u.from == s && u.to == v.version {
+		return u.words
+	}
+	bm := make([]uint64, (len(v.arr.UnsafeWords())+63)/64)
+	for i := len(v.changes) - 1; i >= 0 && v.changes[i].ver > s; i-- {
+		for _, w := range v.changes[i].words {
+			bm[w>>6] |= 1 << (w & 63)
+		}
+	}
+	v.union.Store(&changeUnion{from: s, to: v.version, words: bm})
+	return bm
 }

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"github.com/vossketch/vos/internal/bitset"
 	"github.com/vossketch/vos/internal/hashing"
@@ -123,15 +124,32 @@ type VOS struct {
 	// path, so a transient query allocates no table (see lookupPositions).
 	posScratch sync.Pool
 
-	// rec caches packed recovered sketches (see batch.go). Entries are
-	// stamped with version, so any write invalidates all of them at once;
-	// on a quiescent sketch a repeat pair comparison is then a pure
-	// XOR+popcount over ~k/64 words. nil disables.
+	// rec caches packed recovered sketches (see batch.go), each stamped
+	// with the version it was recovered at. An entry at the current
+	// version is served as is, so on a quiescent sketch a repeat pair
+	// comparison is a pure XOR+popcount over ~k/64 words. An older entry
+	// is patched when the change log below still covers its stamp —
+	// only its slots in changed array words are read again — and
+	// re-gathered in full otherwise. nil disables.
 	rec *poscache.Cache
-	// version counts writes (Process, Merge). It stamps recovered-sketch
-	// cache entries; it is not serialized and restarts from zero on load,
-	// which is safe because a loaded sketch starts with an empty cache.
+	// version counts writes (every write method, and each Remerge). It
+	// stamps recovered-sketch cache entries; it is not serialized and
+	// restarts from zero on load, which is safe because a loaded sketch
+	// starts with an empty cache.
 	version uint64
+
+	// changes logs, oldest first, the array words each Remerge changed,
+	// at most changeLimit words in all (see dirty.go); logged is that
+	// total. horizon is the oldest stamp the log covers: an entry stamped
+	// at or after it can be patched. Every other write empties the log
+	// and moves horizon to the new version (touch). union memoises the
+	// changed words since one stamp as a bitmap (changedSince); patched
+	// counts the cache misses served by a patch.
+	changes []wordChanges
+	logged  int
+	horizon uint64
+	union   atomic.Pointer[changeUnion]
+	patched atomic.Uint64
 
 	// dirty, when attached (TrackDirty), records the words and users the
 	// per-edge write paths touch (see dirty.go). nil on plain sketches.
@@ -245,13 +263,25 @@ func (v *VOS) SetRecoveredCacheCapacity(entries int) {
 	}
 }
 
+// RecoveredStats is a counter snapshot of the recovered-sketch cache.
+type RecoveredStats struct {
+	// Stats are the cache's own counters. A lookup that finds no entry
+	// at the current version is a miss, whether it was then patched or
+	// gathered in full.
+	poscache.Stats
+	// Patched counts the misses served by patching a stale entry — only
+	// its slots in array words changed since its stamp read again; the
+	// other Misses − Patched were gathered in full.
+	Patched uint64
+}
+
 // RecoveredCacheStats reports the recovered-sketch cache counters; ok is
 // false when the cache is disabled.
-func (v *VOS) RecoveredCacheStats() (st poscache.Stats, ok bool) {
+func (v *VOS) RecoveredCacheStats() (st RecoveredStats, ok bool) {
 	if v.rec == nil {
-		return poscache.Stats{}, false
+		return RecoveredStats{}, false
 	}
-	return v.rec.Stats(), true
+	return RecoveredStats{Stats: v.rec.Stats(), Patched: v.patched.Load()}, true
 }
 
 // slot returns ψ(item) ∈ [0, k).
@@ -279,10 +309,22 @@ func (v *VOS) fillPositions(dst []uint64, u stream.User) {
 	v.slots.HashRangeInto(dst, uint64(u), v.cfg.MemoryBits)
 }
 
+// touch bumps the write version for a write the change log does not
+// record — every write but Remerge. It empties the log, so no cached
+// recovered sketch stamped before the write can be patched: each is
+// gathered again in full.
+func (v *VOS) touch() {
+	v.version++
+	v.horizon = v.version
+	if v.changes != nil {
+		v.changes, v.logged = nil, 0
+	}
+}
+
 // Process folds one stream element into the sketch in O(1): one hash for
 // ψ, one for f_j, one bit flip, one counter update.
 func (v *VOS) Process(e stream.Edge) {
-	v.version++ // invalidates every cached recovered sketch
+	v.touch()
 	j := v.slot(e.Item)
 	var p uint64
 	if v.fslots != nil {
@@ -305,7 +347,7 @@ func (v *VOS) ProcessBatch(edges []stream.Edge) {
 	if len(edges) == 0 {
 		return
 	}
-	v.version++ // one write event: invalidates every cached recovered sketch
+	v.touch() // one write event
 	if v.dirty != nil {
 		v.processBatchTracked(edges)
 		return
@@ -547,7 +589,7 @@ func (v *VOS) Merge(other *VOS) error {
 		return fmt.Errorf("core: cannot merge sketches with different configs (%+v vs %+v)",
 			v.cfg, other.cfg)
 	}
-	v.version++ // invalidates every cached recovered sketch
+	v.touch()
 	v.arr.Xor(other.arr)
 	for u, c := range other.card {
 		v.card[u] += c
@@ -574,7 +616,7 @@ func (v *VOS) Unmerge(other *VOS) error {
 		return fmt.Errorf("core: cannot unmerge sketches with different configs (%+v vs %+v)",
 			v.cfg, other.cfg)
 	}
-	v.version++ // invalidates every cached recovered sketch
+	v.touch()
 	v.arr.Xor(other.arr)
 	for u, c := range other.card {
 		v.bump(u, -c)
@@ -584,9 +626,10 @@ func (v *VOS) Unmerge(other *VOS) error {
 
 // Reset returns the sketch to its empty state in place, keeping the
 // configuration, the allocated array, and any attached caches (recovered-
-// sketch cache entries are version-stamped, so the reset invalidates them).
+// sketch cache entries are version-stamped, so after the reset each is
+// gathered again).
 func (v *VOS) Reset() {
-	v.version++
+	v.touch()
 	v.arr.Reset()
 	clear(v.card)
 }

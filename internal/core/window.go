@@ -146,13 +146,13 @@ func (w *Window) Process(e stream.Edge) {
 	j := m.slot(e.Item)
 	p := m.position(e.User, j)
 	d := opDelta(e.Op)
-	m.version++ // invalidates cached recovered sketches on the live view
+	m.touch() // stales cached recovered sketches on the live view
 	m.arr.Flip(p)
 	if m.dirty != nil {
 		m.dirty.mark(p, e.User)
 	}
 	m.bump(e.User, d)
-	b.version++
+	b.touch()
 	b.arr.Flip(p)
 	b.bump(e.User, d)
 }
@@ -166,8 +166,8 @@ func (w *Window) ProcessBatch(edges []stream.Edge) {
 		return
 	}
 	m, b := w.merged, w.buckets[w.cur]
-	m.version++ // one write event: invalidates cached recovered sketches
-	b.version++
+	m.touch() // one write event: stales cached recovered sketches
+	b.touch()
 	if dirty := m.dirty; dirty != nil {
 		// The merged view is tracked (an engine shard): the same loop,
 		// recording each flip. The nil check stays out of the edge loop.

@@ -174,6 +174,27 @@ type shard struct {
 	// holding RLock sees exactly the count reflected in sk.
 	enqueued  atomic.Uint64
 	processed atomic.Uint64
+
+	// applied (over applyMu) wakes Flush: the worker broadcasts on it
+	// after every batch it applies.
+	applyMu sync.Mutex
+	applied sync.Cond
+}
+
+// newShard creates a shard whose queue holds up to batches full batches.
+func newShard(cfg Config, batches int) *shard {
+	s := &shard{ch: make(chan []stream.Edge, batches), dirty: core.NewDirty(cfg.Sketch)}
+	s.applied.L = &s.applyMu
+	return s
+}
+
+// waitApplied blocks until the worker has applied n edges in all.
+func (s *shard) waitApplied(n uint64) {
+	s.applyMu.Lock()
+	for s.processed.Load() < n {
+		s.applied.Wait()
+	}
+	s.applyMu.Unlock()
 }
 
 // Engine is the sharded ingestion engine. All methods are safe for
@@ -299,7 +320,7 @@ func newEngine(cfg Config) (*Engine, error) {
 		winStart = e.winNow()
 	}
 	for i := range e.shards {
-		s := &shard{ch: make(chan []stream.Edge, batches), dirty: core.NewDirty(cfg.Sketch)}
+		s := newShard(cfg, batches)
 		if cfg.Window != nil {
 			win, err := core.NewWindow(cfg.Sketch, cfg.Window.Buckets, cfg.Window.BucketDuration, winStart)
 			if err != nil {
@@ -375,6 +396,9 @@ func (e *Engine) worker(s *shard) {
 		}
 		s.processed.Add(uint64(len(batch)))
 		s.skMu.Unlock()
+		s.applyMu.Lock()
+		s.applied.Broadcast()
+		s.applyMu.Unlock()
 	}
 }
 
@@ -425,9 +449,14 @@ func (e *Engine) kickPending(s *shard) {
 // Config.QueueSize (rounded up to whole batches) no matter how large the
 // slices passed to ProcessBatch are; the residue stays pending (always
 // shorter than one batch at rest).
+//
+// The edges are counted under pendMu together with the append, so once
+// Flush has read enqueued and then taken the pending batch, every edge it
+// counted is queued, applied, or in a full batch its producer is sending:
+// Flush only has to wait for the worker.
 func (s *shard) add(edges []stream.Edge, batchSize int) {
-	s.enqueued.Add(uint64(len(edges)))
 	s.pendMu.Lock()
+	s.enqueued.Add(uint64(len(edges)))
 	s.pend = append(s.pend, edges...)
 	var full [][]stream.Edge
 	for len(s.pend) >= batchSize {
@@ -523,8 +552,11 @@ func (e *Engine) route(edges []stream.Edge) {
 
 // Flush blocks until every edge accepted before the call has been applied
 // to its shard sketch. After Flush, Query reflects all of them exactly.
-// Flush racing Close is safe: once Close has begun, Flush returns
-// immediately (Close itself drains every buffered edge).
+// It hands every shard's partial batch to its worker (blocking while a
+// queue is full), then sleeps until each worker's applied count reaches
+// what was accepted; the workers wake it as they apply. Flush racing
+// Close is safe: once Close has begun, Flush returns immediately (Close
+// itself drains every buffered edge).
 func (e *Engine) Flush() {
 	e.lifeMu.RLock()
 	defer e.lifeMu.RUnlock()
@@ -535,24 +567,17 @@ func (e *Engine) Flush() {
 	for i, s := range e.shards {
 		targets[i] = s.enqueued.Load()
 	}
-	for i, s := range e.shards {
-		for s.processed.Load() < targets[i] {
-			// The shortfall can live in the pending batch (hand it over,
-			// blocking if the queue is full) or in the queue (yield until
-			// the worker drains it).
-			s.pendMu.Lock()
-			out := s.pend
-			s.pend = nil
-			s.pendMu.Unlock()
-			if len(out) > 0 {
-				s.ch <- out
-				continue
-			}
-			runtime.Gosched()
-			if s.processed.Load() < targets[i] {
-				time.Sleep(20 * time.Microsecond)
-			}
+	for _, s := range e.shards {
+		s.pendMu.Lock()
+		out := s.pend
+		s.pend = nil
+		s.pendMu.Unlock()
+		if len(out) > 0 {
+			s.ch <- out
 		}
+	}
+	for i, s := range e.shards {
+		s.waitApplied(targets[i])
 	}
 }
 
@@ -712,6 +737,16 @@ func (e *Engine) PositionCacheStats() (st poscache.Stats, ok bool) {
 		return poscache.Stats{}, false
 	}
 	return e.pcache.Stats(), true
+}
+
+// RecoveredCacheStats reports the merged view's recovered-sketch cache
+// counters, including how many stale entries were patched rather than
+// gathered in full after a refresh; ok is false when the view has no
+// cache.
+func (e *Engine) RecoveredCacheStats() (st core.RecoveredStats, ok bool) {
+	e.viewMu.RLock()
+	defer e.viewMu.RUnlock()
+	return e.view.RecoveredCacheStats()
 }
 
 // QueryContext is Query with lifecycle and cancellation checks: ErrClosed

@@ -234,7 +234,11 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 // view and recomputes nothing; a read after a one-edge write refreshes it
 // by recomputing exactly the one array word the edge flipped; a read after
 // a batch recomputes exactly the distinct words the batch flipped; and
-// only engine start and an import recompute the view in full.
+// only engine start and an import recompute the view in full. The
+// recovered-sketch counters pin what the refresh leaves cached: after a
+// one-edge write every sketch a warmed top-K reads is patched and none is
+// gathered again, while after an import (or, in window mode, a rotation)
+// every one is gathered in full.
 func TestViewRefreshCost(t *testing.T) {
 	cfg := testConfig()
 	for _, shards := range []int{1, 3} {
@@ -289,6 +293,14 @@ func TestViewRefreshCost(t *testing.T) {
 				t.Fatalf("read after %d edges flipping %d distinct words: %+v, want %+v", len(batch), len(words), got, want)
 			}
 
+			cands := []stream.User{2, 3, 4, 5, 6, 7, 8, 9}
+			e.TopK(1, cands, 3) // warm
+			if err := e.Process(stream.Edge{User: 1, Item: 2, Op: stream.Insert}); err != nil {
+				t.Fatal(err)
+			}
+			e.Flush()
+			expectRecovered(t, e, "top-K after one edge", func() { e.TopK(1, cands, 3) }, len(cands)+1, 0)
+
 			other := core.MustNew(cfg)
 			other.Process(stream.Edge{User: 9, Item: 9, Op: stream.Insert})
 			data, err := other.MarshalBinary()
@@ -299,11 +311,54 @@ func TestViewRefreshCost(t *testing.T) {
 				t.Fatal(err)
 			}
 			before = counts()
-			e.Query(1, 9)
+			expectRecovered(t, e, "top-K after an import", func() { e.TopK(1, cands, 3) }, 0, len(cands)+1)
 			if got := counts(); got.refreshes != before.refreshes+1 || got.fulls != before.fulls+1 {
 				t.Fatalf("read after an import: %+v, want one full recompute after %+v", got, before)
 			}
 		})
+	}
+	t.Run("window", func(t *testing.T) {
+		clk := newFakeClock(time.Unix(100, 0))
+		e := MustNew(windowConfig(2, 2, clk))
+		defer e.Close()
+		cands := []stream.User{2, 3, 4, 5, 6, 7, 8, 9}
+		if err := e.ProcessBatch(feasibleStream(40, 10, 0, 5)); err != nil {
+			t.Fatal(err)
+		}
+		e.Flush()
+		e.TopK(1, cands, 3) // warm
+		if err := e.Process(stream.Edge{User: 1, Item: 99, Op: stream.Insert}); err != nil {
+			t.Fatal(err)
+		}
+		e.Flush()
+		expectRecovered(t, e, "top-K after one edge", func() { e.TopK(1, cands, 3) }, len(cands)+1, 0)
+		clk.Set(time.Unix(101, 0))
+		if steps := e.AdvanceWindowTo(clk.Now()); steps != 1 {
+			t.Fatalf("advance crossed %d boundaries, want 1", steps)
+		}
+		expectRecovered(t, e, "top-K after a rotation", func() { e.TopK(1, cands, 3) }, 0, len(cands)+1)
+	})
+}
+
+// expectRecovered runs read and checks how the recovered sketches it
+// looked up were served: patched stale entries, and entries gathered in
+// full (misses not served by a patch).
+func expectRecovered(t *testing.T, e *Engine, name string, read func(), patched, gathered int) {
+	t.Helper()
+	stats := func() core.RecoveredStats {
+		st, ok := e.RecoveredCacheStats()
+		if !ok {
+			t.Fatal("the view has no recovered-sketch cache")
+		}
+		return st
+	}
+	before := stats()
+	read()
+	after := stats()
+	p := after.Patched - before.Patched
+	g := after.Misses - before.Misses - p
+	if p != uint64(patched) || g != uint64(gathered) {
+		t.Fatalf("%s: %d patched, %d gathered in full; want %d, %d", name, p, g, patched, gathered)
 	}
 }
 

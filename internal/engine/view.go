@@ -15,7 +15,10 @@ import (
 // inside the worker's skMu critical section that applies the batch, and
 // the next read refreshes the view from those records alone
 // (core.VOS.Remerge): the cost of a read after a write follows the write's
-// size, not the sketch's, and does not grow with the shard count.
+// size, not the sketch's, and does not grow with the shard count. The
+// view's recovered-sketch cache survives the refresh: Remerge logs the
+// array words it changed, and a cached sketch is patched on its next read
+// by re-reading only its slots in those words.
 //
 // A refresh runs under viewMu.Lock, and only when some shard has applied
 // edges since the last one (or a full recompute is pending). It takes
@@ -32,7 +35,7 @@ import (
 // Whole-sketch changes are not recorded per word: engine start, a window
 // rotation and an ImportSketch set viewFull, and the next refresh marks
 // every word and user dirty, so the same Remerge loop recomputes the view
-// in full. The users a refresh takes are forwarded to the ANN index's
+// in full and every cached recovered sketch is gathered again. The users a refresh takes are forwarded to the ANN index's
 // pending set, which is how index maintenance learns about writes.
 //
 // Lock order: viewMu, then winMu, then shards' skMu in index order, then

@@ -12,17 +12,19 @@
 //     of an engine and its merged read view — sharing across different
 //     Configs returns wrong positions; don't.
 //
-//   - Recovered sketches (GetVersioned/PutVersioned): a user's packed
+//   - Recovered sketches (GetStamped/PutVersioned): a user's packed
 //     recovered bits DO depend on the array contents, so entries carry the
-//     sketch's write-version stamp and a lookup hits only when the stamp
-//     still matches — any update invalidates every outstanding entry at
-//     once, for free, by bumping the version. On a quiescent sketch (an
-//     engine's merged view between writes, a read-heavy serving period)
-//     this turns a repeat pair comparison into a pure word-level
-//     XOR+popcount, ~k/64 operations, with no hashing and no array
-//     probes at all. The aux
-//     slot stores the packed popcount alongside, so a hit also skips the
-//     k-bit recount.
+//     version stamp of the sketch state they were recovered from, and a
+//     lookup counts as a hit only when that stamp is the caller's current
+//     version. GetStamped returns an older entry together with its stamp
+//     rather than hiding it: the owner (core.VOS) knows which array words
+//     changed since that stamp and can patch the entry by re-reading only
+//     those slots, or gather it again when it no longer knows. On a
+//     quiescent sketch (an engine's merged view between writes, a
+//     read-heavy serving period) a repeat pair comparison is a pure
+//     word-level XOR+popcount, ~k/64 operations, with no hashing and no
+//     array probes at all. The aux slot stores the packed popcount
+//     alongside, so a hit also skips the k-bit recount.
 //
 // Sizing: a position table costs SketchBits·8 bytes per entry (50 KiB at
 // the paper's k = 6400); a packed recovered sketch costs SketchBits/8

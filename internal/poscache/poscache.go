@@ -61,7 +61,7 @@ func (c *Cache) Len() int {
 // Get returns user u's cached position table and marks it most recently
 // used. The returned slice is shared and must not be modified.
 func (c *Cache) Get(u stream.User) ([]uint64, bool) {
-	pos, _, ok := c.GetVersioned(u, 0)
+	pos, _, _, ok := c.GetStamped(u, 0)
 	return pos, ok
 }
 
@@ -74,26 +74,29 @@ func (c *Cache) Put(u stream.User, pos []uint64) {
 	c.PutVersioned(u, 0, pos, 0)
 }
 
-// GetVersioned returns user u's cached table — and the aux value stored
-// with it — only when it was stored under the same version stamp; a stale
-// entry counts as a miss (it stays until replaced or evicted — it can
-// never hit again, because callers only look up the current version).
+// GetStamped returns user u's cached table, the aux value stored with it,
+// and the version stamp it was stored under, whatever that stamp is, and
+// marks the entry most recently used. ok is false when u has no entry. The
+// lookup counts as a hit only when the stamp equals ver, the caller's
+// current version; an entry under an older stamp counts as a miss, since
+// the caller must bring it up to date (or replace it) before use.
 // Position tables are version-free: use Get, or equivalently a constant
 // stamp of 0.
-func (c *Cache) GetVersioned(u stream.User, ver uint64) ([]uint64, uint64, bool) {
+func (c *Cache) GetStamped(u stream.User, ver uint64) (pos []uint64, aux, stamp uint64, ok bool) {
 	c.mu.Lock()
 	el, ok := c.entries[u]
-	if !ok || el.Value.(*entry).ver != ver {
-		c.mu.Unlock()
-		c.misses.Add(1)
-		return nil, 0, false
+	if ok {
+		c.order.MoveToFront(el)
+		e := el.Value.(*entry)
+		pos, aux, stamp = e.pos, e.aux, e.ver
 	}
-	c.order.MoveToFront(el)
-	e := el.Value.(*entry)
-	pos, aux := e.pos, e.aux
 	c.mu.Unlock()
-	c.hits.Add(1)
-	return pos, aux, true
+	if ok && stamp == ver {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	return pos, aux, stamp, ok
 }
 
 // PutVersioned stores user u's table and an opaque aux value under a
@@ -126,8 +129,9 @@ func (c *Cache) PutVersioned(u stream.User, ver uint64, pos []uint64, aux uint64
 
 // Stats is a counter snapshot for monitoring cache effectiveness.
 type Stats struct {
-	// Hits and Misses count Get outcomes; a low hit rate on a serving
-	// workload means the capacity is below the hot user set.
+	// Hits and Misses count Get and GetStamped outcomes (an entry under
+	// an older stamp is a miss); a low hit rate on a serving workload
+	// means the capacity is below the hot user set.
 	Hits, Misses uint64
 	// Evictions counts entries displaced by Put on a full cache.
 	Evictions uint64

@@ -116,20 +116,28 @@ func TestConcurrentAccess(t *testing.T) {
 func TestVersionedEntriesInvalidateOnStamp(t *testing.T) {
 	c := New(4)
 	c.PutVersioned(1, 7, table(70), 7000)
-	if _, _, ok := c.GetVersioned(1, 8); ok {
-		t.Fatal("stale version stamp must miss")
+	// An older stamp than the caller's version is returned with its stamp,
+	// so the caller can bring it up to date, but counts as a miss.
+	pos, aux, stamp, ok := c.GetStamped(1, 8)
+	if !ok || stamp != 7 || pos[0] != 70 || aux != 7000 {
+		t.Fatalf("stale stamp: %v, aux=%d, stamp=%d, %v", pos, aux, stamp, ok)
 	}
-	pos, aux, ok := c.GetVersioned(1, 7)
-	if !ok || pos[0] != 70 || aux != 7000 {
-		t.Fatalf("matching stamp: %v, aux=%d, %v", pos, aux, ok)
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 1 {
+		t.Fatalf("stale stamp counted as %+v, want one miss", st)
+	}
+	if _, _, stamp, ok := c.GetStamped(1, 7); !ok || stamp != 7 {
+		t.Fatalf("matching stamp: stamp=%d, %v", stamp, ok)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("matching stamp counted as %+v, want one hit", st)
 	}
 	// Re-put under a newer stamp replaces table, stamp, and aux in place.
 	c.PutVersioned(1, 8, table(80), 8000)
-	if _, _, ok := c.GetVersioned(1, 7); ok {
-		t.Fatal("old stamp must miss after re-put")
+	if pos, aux, stamp, ok := c.GetStamped(1, 8); !ok || stamp != 8 || pos[0] != 80 || aux != 8000 {
+		t.Fatalf("new stamp: %v, aux=%d, stamp=%d, %v", pos, aux, stamp, ok)
 	}
-	if pos, aux, ok := c.GetVersioned(1, 8); !ok || pos[0] != 80 || aux != 8000 {
-		t.Fatalf("new stamp: %v, aux=%d, %v", pos, aux, ok)
+	if _, _, _, ok := c.GetStamped(2, 8); ok {
+		t.Fatal("absent user reported an entry")
 	}
 	if c.Len() != 1 {
 		t.Fatalf("re-put duplicated the entry: len=%d", c.Len())
@@ -142,7 +150,7 @@ func TestVersionedAndPlainEntriesCoexist(t *testing.T) {
 	// namespace is shared — last put wins.
 	c := New(2)
 	c.Put(1, table(1))
-	if pos, _, ok := c.GetVersioned(1, 0); !ok || pos[0] != 1 {
+	if pos, _, stamp, ok := c.GetStamped(1, 0); !ok || stamp != 0 || pos[0] != 1 {
 		t.Fatalf("plain put invisible to stamp 0: %v %v", pos, ok)
 	}
 }
